@@ -7,7 +7,6 @@ from .buffer import (
     TrajectoryBuffer,
     TrajectoryRecord,
     prefix_match,
-    template,
 )
 # NB: the evaluate() entry point stays namespaced (leadopt.evaluate.evaluate)
 # so the submodule name is not shadowed.

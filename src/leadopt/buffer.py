@@ -61,11 +61,6 @@ class TrajectoryRecord:
         return (self.run_id, self.property_id, self.lead)
 
 
-def template(record: TrajectoryRecord) -> list[ToolAction]:
-    """The record's action sequence, verbatim."""
-    return list(record.actions)
-
-
 def prefix_match(a: TrajectoryRecord, b: TrajectoryRecord, k: int) -> bool:
     """Whether the first k tool-action nodes agree (both must have >= k)."""
     if k < 1:
@@ -124,17 +119,7 @@ class TrajectoryBuffer:
 
     def flush(self, path: str) -> None:
         """Atomically write the buffer as UTF-8 JSON lines."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".buffer-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for line in self.dump_lines():
-                    handle.write(line + "\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        write_lines_atomic(path, self.dump_lines())
 
     def dump_lines(self) -> list[str]:
         lines = []
@@ -168,6 +153,21 @@ class TrajectoryBuffer:
                         )
                 buffer.insert(record)
         return buffer if buffer is not None else cls()
+
+
+def write_lines_atomic(path: str, lines: list[str]) -> None:
+    """Write UTF-8 lines to a temporary file beside path, then rename it over path."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".leadopt-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 def record_to_dict(record: TrajectoryRecord) -> dict:

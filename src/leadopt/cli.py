@@ -10,19 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import subprocess
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from . import evaluate as ev
 from . import metrics as mx
 from . import orchestrate as orc
 from . import tools as tl
-from .buffer import SchemaError, TrajectoryBuffer
-from .molgraph import ParseError, canonical_form, parse_smiles
+from .buffer import SchemaError, TrajectoryBuffer, TrajectoryRecord, write_lines_atomic
+from .molgraph import MolGraph, ParseError, canonical_form, parse_smiles
 from .seeds import derive_seed
 
 log = logging.getLogger("leadopt")
@@ -36,6 +35,7 @@ class EmptyDatasetError(ValueError):
 class DatasetEntry:
     smiles: str
     property_id: str
+    mol: MolGraph  # the parsed row, reused by every later step
     reference: str | None = None
 
 
@@ -92,38 +92,58 @@ def json_endpoint(argv: list[str], timeout: float = 60.0):
 # ---------------------------------------------------------------------------
 
 
+# Builtin profile keys a tools config may set, with their conversions.
+_PROFILE_FIELDS = {
+    "edit_kind": str,
+    "competence": float,
+    "palette": tuple,
+    "p_fail": float,
+    "fail_damping": float,
+    "fail_floor": float,
+    "aggressive_edits": int,
+}
+
+
+def _endpoint_argv(entry: dict) -> list[str]:
+    argv = entry["endpoint"]
+    if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):
+        raise ValueError(f"endpoint must be a non-empty argv list, got {argv!r}")
+    return argv
+
+
+def _tool_spec(entry: dict) -> tl.ToolSpec:
+    tool_id = entry["tool_id"]
+    templates = entry.get("prompt_templates")
+    if templates is None:
+        templates = tl.default_templates(entry.get("action_hint", "any edit style"))
+    else:
+        templates = tuple(templates)
+    if entry.get("kind", "builtin") == "builtin":
+        profile = entry.get("profile", {})
+        fields = {
+            key: convert(profile[key])
+            for key, convert in _PROFILE_FIELDS.items()
+            if key in profile
+        }
+        kind = tl.ToolProfile(**{"edit_kind": "swap", **fields})
+    else:
+        kind = tl.ExternalTool(transport=text_endpoint(_endpoint_argv(entry)))
+    return tl.ToolSpec(
+        tool_id=tool_id,
+        description=entry.get("description", tool_id),
+        prompt_templates=templates,
+        kind=kind,
+    )
+
+
 def load_toolset(path: str | None) -> tuple[tl.ToolSpec, ...]:
     if path is None:
         return tl.builtin_toolset()
     with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
-    specs = []
-    for entry in config["tools"]:
-        tool_id = entry["tool_id"]
-        templates = entry.get("prompt_templates")
-        if templates is None:
-            templates = tl.default_templates(entry.get("action_hint", "any edit style"))
-        else:
-            templates = tuple(templates)
-        if entry.get("kind", "builtin") == "builtin":
-            profile = entry.get("profile", {})
-            kind = tl.ToolProfile(
-                edit_kind=profile.get("edit_kind", "swap"),
-                competence=float(profile.get("competence", 0.7)),
-                p_fail=float(profile.get("p_fail", 0.0)),
-                fail_damping=float(profile.get("fail_damping", 0.5)),
-                fail_floor=float(profile.get("fail_floor", 0.05)),
-            )
-        else:
-            kind = tl.ExternalTool(transport=text_endpoint(entry["endpoint"]))
-        specs.append(
-            tl.ToolSpec(
-                tool_id=tool_id,
-                description=entry.get("description", tool_id),
-                prompt_templates=templates,
-                kind=kind,
-            )
-        )
+        try:
+            specs = [_tool_spec(entry) for entry in json.load(handle)["tools"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise orc.ConfigError(f"{path}: malformed tools config ({exc!r})") from exc
     if not specs:
         raise orc.ConfigError("tools config lists no tools")
     return tuple(specs)
@@ -134,11 +154,13 @@ def load_property_registry(path: str | None) -> dict[str, ev.PropertySpec]:
     if path is None:
         return registry
     with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
-    for pid, entry in config["evaluators"].items():
-        direction = entry.get("direction", ev.KNOWN_DIRECTIONS.get(pid, ev.MAXIMIZE))
-        evaluator = ev.ExternalEvaluator(pid, json_endpoint(entry["endpoint"]))
-        registry[pid] = ev.PropertySpec(pid, direction, evaluator)
+        try:
+            for pid, entry in json.load(handle)["evaluators"].items():
+                direction = entry.get("direction", ev.KNOWN_DIRECTIONS.get(pid, ev.MAXIMIZE))
+                evaluator = ev.ExternalEvaluator(pid, json_endpoint(_endpoint_argv(entry)))
+                registry[pid] = ev.PropertySpec(pid, direction, evaluator)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise orc.ConfigError(f"{path}: malformed evaluators config ({exc!r})") from exc
     return registry
 
 
@@ -178,12 +200,12 @@ def ingest(
                 skipped += 1
                 continue
             try:
-                parse_smiles(smiles)
+                mol = parse_smiles(smiles)
             except ParseError as exc:
                 log.warning("%s:%d: unparseable SMILES %r (%s)", path, lineno, smiles, exc)
                 skipped += 1
                 continue
-            entries.append(DatasetEntry(smiles, property_id, row.get("reference")))
+            entries.append(DatasetEntry(smiles, property_id, mol, row.get("reference")))
     return entries, skipped
 
 
@@ -192,62 +214,42 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, lines: list[str]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".out-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
 def _campaign_configs(
     manifest: CampaignManifest,
     entries: list[DatasetEntry],
     tool_set: tuple[tl.ToolSpec, ...],
     registry: dict[str, ev.PropertySpec],
     buffer: TrajectoryBuffer | None,
-    mode: str,
 ) -> list[tuple[DatasetEntry, orc.RunConfig]]:
-    configs = []
-    for index, entry in enumerate(entries):
-        lead_canonical = canonical_form(parse_smiles(entry.smiles))
-        configs.append(
-            (
-                entry,
-                orc.RunConfig(
-                    mode=mode,
-                    tool_set=tool_set,
-                    property_spec=registry[entry.property_id],
-                    steps=manifest.steps,
-                    tau=manifest.tau,
-                    seed=derive_seed(manifest.seed, lead_canonical),
-                    buffer=buffer,
-                    run_id=f"{mode}-s{manifest.seed}-{index}",
-                ),
-            )
+    return [
+        (
+            entry,
+            orc.RunConfig(
+                mode=manifest.mode,
+                tool_set=tool_set,
+                property_spec=registry[entry.property_id],
+                steps=manifest.steps,
+                tau=manifest.tau,
+                seed=derive_seed(manifest.seed, canonical_form(entry.mol)),
+                buffer=buffer,
+                run_id=f"{manifest.mode}-s{manifest.seed}-{index}",
+            ),
         )
-    return configs
+        for index, entry in enumerate(entries)
+    ]
 
 
-def _run_one(entry: DatasetEntry, config: orc.RunConfig) -> str:
-    try:
-        result = orc.run_campaign(config, parse_smiles(entry.smiles))
-        return orc.result_to_line(result)
-    except Exception as exc:  # per-lead failure must not sink the run
-        log.error("campaign failed for %s: %s", entry.smiles, exc)
-        return json.dumps(
-            {"lead": entry.smiles, "property_id": entry.property_id, "error": str(exc)},
-            sort_keys=True,
-        )
+def _run_campaigns(
+    manifest: CampaignManifest,
+    finish: Callable[[orc.CampaignResult, orc.RunConfig], object],
+) -> tuple[list[tuple[DatasetEntry, object]], int]:
+    """Load the configs and the dataset, then run one campaign per entry.
 
-
-def run_command(manifest: CampaignManifest) -> int:
+    Campaigns run on --jobs threads; finish(result, config) post-processes
+    each one in its worker. A lead whose campaign raises yields the
+    exception instead, so one lead cannot sink the run. Returns the
+    (entry, outcome) pairs in dataset order and the skipped-row count.
+    """
     tool_set = load_toolset(manifest.tools_config)
     registry = load_property_registry(manifest.evaluators_config)
     buffer = None
@@ -258,49 +260,49 @@ def run_command(manifest: CampaignManifest) -> int:
     entries, skipped = ingest(manifest.dataset, set(registry), manifest.property_id)
     if not entries:
         raise EmptyDatasetError(f"{manifest.dataset}: no usable rows ({skipped} skipped)")
-    configs = _campaign_configs(manifest, entries, tool_set, registry, buffer, manifest.mode)
+    configs = _campaign_configs(manifest, entries, tool_set, registry, buffer)
+
+    def run_one(pair: tuple[DatasetEntry, orc.RunConfig]) -> tuple[DatasetEntry, object]:
+        entry, config = pair
+        try:
+            return entry, finish(orc.run_campaign(config, entry.mol), config)
+        except Exception as exc:  # per-lead failure must not sink the run
+            log.error("campaign failed for %s: %s", entry.smiles, exc)
+            return entry, exc
+
     if manifest.jobs > 1:
         with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
-            lines = list(pool.map(lambda pair: _run_one(*pair), configs))
-    else:
-        lines = [_run_one(entry, config) for entry, config in configs]
-    _atomic_write(manifest.out, lines)
+            return list(pool.map(run_one, configs)), skipped
+    return [run_one(pair) for pair in configs], skipped
+
+
+def run_command(manifest: CampaignManifest) -> int:
+    outcomes, skipped = _run_campaigns(manifest, lambda result, config: orc.result_to_line(result))
+    lines = [
+        json.dumps(
+            {"lead": entry.smiles, "property_id": entry.property_id, "error": str(outcome)},
+            sort_keys=True,
+        )
+        if isinstance(outcome, Exception)
+        else outcome
+        for entry, outcome in outcomes
+    ]
+    write_lines_atomic(manifest.out, lines)
     log.info("wrote %d campaign records to %s (%d rows skipped)", len(lines), manifest.out, skipped)
     return 0
 
 
 def build_buffer_command(manifest: CampaignManifest) -> int:
     """Run parallel-mode campaigns over training leads and store the winners."""
-    tool_set = load_toolset(manifest.tools_config)
-    registry = load_property_registry(manifest.evaluators_config)
-    entries, skipped = ingest(manifest.dataset, set(registry), manifest.property_id)
-    if not entries:
-        raise EmptyDatasetError(f"{manifest.dataset}: no usable rows ({skipped} skipped)")
-    configs = _campaign_configs(manifest, entries, tool_set, registry, None, orc.PARALLEL)
+    outcomes, _ = _run_campaigns(manifest, orc.trajectory_from_campaign)
     buffer = TrajectoryBuffer()
-
-    def build_one(pair) -> "orc.TrajectoryRecord | None":
-        entry, config = pair
-        try:
-            result = orc.run_campaign(config, parse_smiles(entry.smiles))
-        except Exception as exc:
-            log.error("campaign failed for %s: %s", entry.smiles, exc)
-            return None
-        return orc.trajectory_from_campaign(result, config)
-
-    if manifest.jobs > 1:
-        with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
-            records = list(pool.map(build_one, configs))
-    else:
-        records = [build_one(pair) for pair in configs]
-    stored = 0
-    for record in records:
-        if record is not None:
-            buffer.insert(record)
-            stored += 1
+    for _, outcome in outcomes:
+        # None for a campaign without a storable success, an exception for a failed one.
+        if isinstance(outcome, TrajectoryRecord):
+            buffer.insert(outcome)
     buffer.flush(manifest.out)
     log.info(
-        "stored %d/%d successful trajectories in %s", stored, len(entries), manifest.out
+        "stored %d/%d successful trajectories in %s", len(buffer), len(outcomes), manifest.out
     )
     return 0
 

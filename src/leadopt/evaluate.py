@@ -4,20 +4,22 @@ Built-in surrogate properties give the desk-scale testbed deterministic,
 nontrivial optimization landscapes; external predictors plug in through a
 small request/response protocol (see ExternalEvaluator). Every surrogate is
 a pure function of the heavy-atom graph, so isomorphic inputs always score
-identically.
+identically. The surrogates read one descriptor record (Descriptors) through
+one formula (predict); the editors in tools rank their edits with the same
+record and formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .molgraph import (
+    Atom,
     MolGraph,
     aromatic_ring_count,
-    heavy_atom_count,
-    hetero_fraction,
     largest_ring_size,
     validate,
     write_smiles,
@@ -102,19 +104,41 @@ class Improvement:
     improved: bool
 
 
-def surrogate_logp(mol: MolGraph) -> float:
-    total = 0.0
-    for atom in mol.atoms:
-        if atom.element == "C" and atom.aromatic:
-            total += LOGP_CONTRIBUTION["C_aromatic"]
-        else:
-            total += LOGP_CONTRIBUTION[atom.element]
-    return total
+@dataclass(frozen=True)
+class Descriptors:
+    """Closed-form molecule descriptors the builtin surrogates read.
+
+    The ring fields are computed only for the properties that read them
+    (largest_ring for plogp, aromatic_rings for the logistic ones) and hold
+    0 otherwise.
+    """
+
+    logp: float
+    hac: int
+    hetero: int
+    aromatic_rings: int = 0
+    largest_ring: int = 0
+
+    @property
+    def hetero_fraction(self) -> float:
+        return self.hetero / self.hac if self.hac else 0.0
 
 
-def surrogate_plogp(mol: MolGraph) -> float:
-    """logp surrogate with a penalty for rings larger than six atoms."""
-    return surrogate_logp(mol) - max(0, largest_ring_size(mol) - 6)
+def logp_contribution(atom: Atom) -> float:
+    if atom.element == "C" and atom.aromatic:
+        return LOGP_CONTRIBUTION["C_aromatic"]
+    return LOGP_CONTRIBUTION[atom.element]
+
+
+def descriptors(mol: MolGraph, property_id: str) -> Descriptors:
+    """The descriptor record that property_id's surrogate reads."""
+    return Descriptors(
+        logp=sum(logp_contribution(atom) for atom in mol.atoms),
+        hac=len(mol.atoms),
+        hetero=sum(1 for atom in mol.atoms if atom.element != "C"),
+        aromatic_rings=aromatic_ring_count(mol) if property_id in LOGISTIC_COEFFICIENTS else 0,
+        largest_ring=largest_ring_size(mol) if property_id == "plogp" else 0,
+    )
 
 
 def drug_likeness_score(heavy_atoms: int, hetero: float) -> float:
@@ -124,39 +148,39 @@ def drug_likeness_score(heavy_atoms: int, hetero: float) -> float:
     return size_term * hetero_term
 
 
-def surrogate_dlk(mol: MolGraph) -> float:
-    return drug_likeness_score(heavy_atom_count(mol), hetero_fraction(mol))
+def predict(property_id: str, d: Descriptors) -> float:
+    """Builtin surrogate value of a descriptor record.
 
-
-def _sigmoid(x: float) -> float:
+    plogp penalizes rings larger than six atoms. Raises KeyError for a
+    property without a builtin surrogate.
+    """
+    if property_id == "logp":
+        return d.logp
+    if property_id == "plogp":
+        return d.logp - max(0, d.largest_ring - 6)
+    if property_id == "qed":
+        return drug_likeness_score(d.hac, d.hetero_fraction)
+    coeff = LOGISTIC_COEFFICIENTS[property_id]
+    x = (
+        coeff["logp"] * d.logp
+        + coeff["hetero"] * d.hetero_fraction
+        + coeff["rings"] * d.aromatic_rings
+        + coeff["bias"]
+    )
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
 
 
-def _logistic_surrogate(property_id: str) -> Callable[[MolGraph], float]:
-    coeff = LOGISTIC_COEFFICIENTS[property_id]
-
-    def score(mol: MolGraph) -> float:
-        x = (
-            coeff["logp"] * surrogate_logp(mol)
-            + coeff["hetero"] * hetero_fraction(mol)
-            + coeff["rings"] * aromatic_ring_count(mol)
-            + coeff["bias"]
-        )
-        return _sigmoid(x)
-
-    return score
+def surrogate(property_id: str, mol: MolGraph) -> float:
+    """Builtin surrogate value of a molecule."""
+    return predict(property_id, descriptors(mol, property_id))
 
 
 BUILTIN_SURROGATES: dict[str, Callable[[MolGraph], float]] = {
-    "logp": surrogate_logp,
-    "plogp": surrogate_plogp,
-    "qed": surrogate_dlk,
-    "bbbp": _logistic_surrogate("bbbp"),
-    "hia": _logistic_surrogate("hia"),
-    "mutagenicity": _logistic_surrogate("mutagenicity"),
+    pid: functools.partial(surrogate, pid)
+    for pid in ("logp", "plogp", "qed", "bbbp", "hia", "mutagenicity")
 }
 
 KNOWN_DIRECTIONS = {
@@ -196,16 +220,25 @@ class ExternalEvaluator:
             response = self.transport(request)
         except Exception as exc:  # transport failure of any flavor
             raise EvaluatorUnavailableError(str(exc)) from exc
-        errors = response.get("errors") or []
+        if not isinstance(response, dict):
+            raise EvaluatorUnavailableError(f"malformed evaluator response: {response!r:.80}")
+        errors = response.get("errors")
         if errors:
-            index, message = errors[0][0], errors[0][1]
-            raise EvaluatorUnavailableError(f"sample {index}: {message}")
+            first = errors[0] if isinstance(errors, list) else None
+            if isinstance(first, list) and len(first) == 2:
+                raise EvaluatorUnavailableError(f"sample {first[0]}: {first[1]}")
+            raise EvaluatorUnavailableError(f"malformed evaluator errors: {errors!r:.80}")
         values = response.get("values")
         if not isinstance(values, list) or len(values) != len(smiles_list):
             raise EvaluatorUnavailableError("malformed evaluator response")
         out = []
         for value in values:
-            number = float(value)
+            if isinstance(value, bool):
+                raise EvaluatorUnavailableError(f"boolean value {value} from evaluator")
+            try:
+                number = float(value)
+            except (TypeError, ValueError) as exc:
+                raise EvaluatorUnavailableError(f"non-numeric value {value!r:.80}") from exc
             if not math.isfinite(number):
                 raise EvaluatorUnavailableError("non-finite value from evaluator")
             out.append(number)
@@ -220,10 +253,9 @@ def evaluate(spec: PropertySpec, mol: MolGraph) -> PropertyValue:
 
         raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
     if spec.evaluator == "builtin":
-        fn = BUILTIN_SURROGATES.get(spec.id)
-        if fn is None:
+        if spec.id not in BUILTIN_SURROGATES:
             raise KeyError(f"no builtin surrogate for {spec.id!r}")
-        return PropertyValue(fn(mol), spec.id)
+        return PropertyValue(surrogate(spec.id, mol), spec.id)
     values = spec.evaluator([write_smiles(mol)])
     return PropertyValue(values[0], spec.id)
 

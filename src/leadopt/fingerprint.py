@@ -176,14 +176,6 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return bin(a.bits & b.bits).count("1") / union
 
 
-def similarity_to(
-    mol: MolGraph,
-    reference_fp: Fingerprint,
-) -> float:
-    """Tanimoto between a molecule and a precomputed fingerprint."""
-    return tanimoto(morgan_fp(mol, reference_fp.radius, reference_fp.nbits), reference_fp)
-
-
 def meets_constraint(
     mol: MolGraph,
     reference: MolGraph,

@@ -410,6 +410,12 @@ def free_valence(mol: MolGraph, idx: int) -> int:
 
 def validate(mol: MolGraph) -> ValidityReport:
     """Check connectivity, aromatic perception, and per-atom valence."""
+    if "validity" not in mol._cache:
+        mol._cache["validity"] = _check_validity(mol)
+    return mol._cache["validity"]
+
+
+def _check_validity(mol: MolGraph) -> ValidityReport:
     violations: list[tuple[int, str, str]] = []
     if not mol.atoms:
         return ValidityReport(False, ((-1, "empty", "molecule has no atoms"),))
@@ -871,10 +877,6 @@ def canonical_form(mol: MolGraph) -> str:
 # ---------------------------------------------------------------------------
 # Descriptors shared by evaluators and fingerprints
 # ---------------------------------------------------------------------------
-
-
-def heavy_atom_count(mol: MolGraph) -> int:
-    return len(mol.atoms)
 
 
 def hetero_fraction(mol: MolGraph) -> float:

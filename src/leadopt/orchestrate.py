@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import evaluate as ev
 from . import tools as tl
 from .buffer import StepOutcome, ToolAction, TrajectoryBuffer, TrajectoryRecord
-from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, morgan_fp, tanimoto
+from .fingerprint import Fingerprint, morgan_fp, tanimoto
 from .molgraph import MolGraph, ParseError, canonical_form, parse_smiles, validate
 from .seeds import derive_seed
 
@@ -41,7 +40,7 @@ HISTORY_WEIGHT = 0.7
 
 
 class ConfigError(ValueError):
-    """Inconsistent run configuration (mode/budget/buffer)."""
+    """Inconsistent run configuration or malformed configuration file."""
 
 
 class PlannerProtocolError(ValueError):
@@ -56,14 +55,10 @@ class RunConfig:
     steps: int = 3
     tau: float = 0.5
     seed: int = 0
-    budget: int | None = None
     buffer: TrajectoryBuffer | None = None
     planner: Callable[[dict], str] | None = None  # external planner transport
     retry: bool = True
-    fp_radius: int = DEFAULT_RADIUS
-    fp_nbits: int = DEFAULT_NBITS
     run_id: str = ""
-    parallel_workers: int = 0  # 0 = invoke tools sequentially within a step
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -72,16 +67,13 @@ class RunConfig:
             raise ConfigError("tool set must not be empty")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        expected = len(self.tool_set) if self.mode == PARALLEL else 1
-        if self.budget is None:
-            object.__setattr__(self, "budget", expected)
-        elif self.budget != expected:
-            raise ConfigError(
-                f"budget {self.budget} inconsistent with mode {self.mode} "
-                f"(expected {expected})"
-            )
         if self.mode == RETRIEVE and self.buffer is None:
             raise ConfigError("retrieve mode requires a trajectory buffer")
+
+    @property
+    def budget(self) -> int:
+        """Planned tool calls per step: the whole tool set in parallel mode, else one."""
+        return len(self.tool_set) if self.mode == PARALLEL else 1
 
 
 @dataclass(frozen=True)
@@ -157,6 +149,7 @@ class CampaignState:
     """Mutable per-campaign cursor: current molecule plus template state."""
 
     molecule: MolGraph
+    canonical: str  # canonical SMILES of molecule
     template: list[ToolAction] = field(default_factory=list)
     cursor: int = 0
     template_key: tuple | None = None
@@ -312,11 +305,9 @@ def _check_candidate(
     try:
         mol = parse_smiles(smiles)
     except ParseError:
-        mol = None
-    if mol is None or not validate(mol).valid:
         return CandidateCheck(smiles, False, None, None, None, None, tl.INVALID_STRUCTURE, False)
     canonical = canonical_form(mol)
-    sim = tanimoto(morgan_fp(mol, config.fp_radius, config.fp_nbits), lead.fingerprint)
+    sim = tanimoto(morgan_fp(mol), lead.fingerprint)
     failure = tl.SIMILARITY_VIOLATION if sim < config.tau else None
     value = improvement = None
     try:
@@ -364,7 +355,7 @@ def _run_attempt(
     step_index: int,
     retry: bool,
     failed: list[tl.FailedCase],
-) -> AttemptRecord | None:
+) -> AttemptRecord:
     spec = _spec_by_id(config)[action.tool_id]
     instruction = tl.build_instruction(
         spec, action.prompt_index, config.property_spec, failed
@@ -388,7 +379,7 @@ def run_step(
     step_index: int,
 ) -> StepRecord:
     """Plan and execute one exploration step, updating the state in place."""
-    start = canonical_form(state.molecule)
+    start = state.canonical
     retrieval_hint = None
     if config.mode == RETRIEVE:
         hit = config.buffer.top1_similar(state.molecule, config.property_spec.id)
@@ -426,16 +417,10 @@ def run_step(
     else:
         command = plan(config, state.molecule, step_index, state.history, retrieval_hint)
 
-    # First attempts: independent invocations, merged in a deterministic
-    # order (plan order) regardless of execution interleaving.
-    def first_attempt(action: ToolAction) -> AttemptRecord:
-        return _run_attempt(config, lead, state.molecule, action, step_index, False, [])
-
-    if config.mode == PARALLEL and config.parallel_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
-            firsts = list(pool.map(first_attempt, command.tool_calls))
-    else:
-        firsts = [first_attempt(action) for action in command.tool_calls]
+    firsts = [
+        _run_attempt(config, lead, state.molecule, action, step_index, False, [])
+        for action in command.tool_calls
+    ]
     state.invocations += len(firsts)
 
     attempts: list[AttemptRecord] = []
@@ -483,7 +468,10 @@ def run_step(
             improvement=top.improvement_vs_lead,
             relative=gain.relative,
         )
+        # Canonical forms are idempotent, so the re-parsed winner needs no
+        # second canonicalization.
         state.molecule = parse_smiles(top.canonical)
+        state.canonical = top.canonical
 
     return StepRecord(
         step_index=step_index,
@@ -503,10 +491,10 @@ def run_campaign(config: RunConfig, lead_mol: MolGraph) -> CampaignResult:
     lead = _LeadContext(
         mol=lead_mol,
         canonical=canonical_form(lead_mol),
-        fingerprint=morgan_fp(lead_mol, config.fp_radius, config.fp_nbits),
+        fingerprint=morgan_fp(lead_mol),
         initial=ev.evaluate(config.property_spec, lead_mol),
     )
-    state = CampaignState(molecule=lead_mol)
+    state = CampaignState(molecule=lead_mol, canonical=lead.canonical)
     steps: list[StepRecord] = []
     for step_index in range(config.steps):
         steps.append(run_step(config, state, lead, step_index))
@@ -611,7 +599,7 @@ def trajectory_from_campaign(
         outcomes.append(StepOutcome(*current))
     return TrajectoryRecord(
         lead=result.lead,
-        lead_fp=morgan_fp(lead_mol, config.fp_radius, config.fp_nbits),
+        lead_fp=morgan_fp(lead_mol),
         property_id=result.property_id,
         actions=tuple(actions),
         step_outcomes=tuple(outcomes),

@@ -11,7 +11,6 @@ External tools plug in through a wire protocol; their replies are mined for
 
 from __future__ import annotations
 
-import math
 import random
 import re
 import time
@@ -20,15 +19,14 @@ from typing import Callable
 
 from . import evaluate as ev
 from .molgraph import (
+    ALLOWED_VALENCE,
     SINGLE,
     Atom,
     Bond,
     MolGraph,
     allowed_valences,
-    aromatic_ring_count,
     free_valence,
     kekule_orders,
-    largest_ring_size,
     neighbors,
     ring_atom_flags,
     validate,
@@ -81,6 +79,15 @@ class ToolProfile:
     fail_damping: float = 0.5
     fail_floor: float = 0.05
     aggressive_edits: int = 1  # edits applied under the "aggressive" template
+
+    def __post_init__(self):
+        if self.edit_kind not in _FAMILIES_BY_KIND_AND_STYLE:
+            raise ValueError(f"unknown edit_kind {self.edit_kind!r}")
+        unknown = [e for e in self.palette if e not in ALLOWED_VALENCE]
+        if unknown:
+            raise ValueError(f"unsupported palette elements {unknown}")
+        if self.aggressive_edits < 1:
+            raise ValueError("aggressive_edits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -217,75 +224,27 @@ def _remove_atom(mol: MolGraph, idx: int, new_bonds: list[Bond] = ()) -> MolGrap
     return MolGraph(atoms, tuple(bonds))
 
 
-@dataclass(frozen=True)
-class _Descriptors:
-    """Closed-form molecule descriptors the builtin surrogates consume."""
-
-    logp: float
-    hac: int
-    hetero: int
-    aromatic_rings: int
-    largest_ring: int
-
-
-def _atom_contribution(atom: Atom) -> float:
-    if atom.element == "C" and atom.aromatic:
-        return ev.LOGP_CONTRIBUTION["C_aromatic"]
-    return ev.LOGP_CONTRIBUTION[atom.element]
-
-
-def _descriptors(mol: MolGraph) -> _Descriptors:
-    return _Descriptors(
-        logp=sum(_atom_contribution(atom) for atom in mol.atoms),
-        hac=len(mol.atoms),
-        hetero=sum(1 for atom in mol.atoms if atom.element != "C"),
-        aromatic_rings=aromatic_ring_count(mol),
-        largest_ring=largest_ring_size(mol),
-    )
-
-
-def _predict_value(property_id: str, d: _Descriptors) -> float | None:
-    """Surrogate value from descriptors; matches evaluate's formulas exactly."""
-    if property_id == "logp":
-        return d.logp
-    if property_id == "plogp":
-        return d.logp - max(0, d.largest_ring - 6)
-    if property_id == "qed":
-        return ev.drug_likeness_score(d.hac, d.hetero / d.hac if d.hac else 0.0)
-    coeff = ev.LOGISTIC_COEFFICIENTS.get(property_id)
-    if coeff is None:
-        return None
-    hetero_fraction = d.hetero / d.hac if d.hac else 0.0
-    x = (
-        coeff["logp"] * d.logp
-        + coeff["hetero"] * hetero_fraction
-        + coeff["rings"] * d.aromatic_rings
-        + coeff["bias"]
-    )
-    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
-
-
 @dataclass
 class _EditOption:
-    """One concrete edit: a predicted descriptor delta plus a builder."""
+    """One concrete edit: a predicted descriptor record plus a builder."""
 
-    descriptors: _Descriptors | None  # None: construct the graph to score it
-    build: object  # () -> MolGraph | None
+    descriptors: ev.Descriptors | None  # None: construct the graph to score it
+    build: Callable[[], MolGraph]
 
 
-def _element_change_options(mol, d, indices, palette):
+def _element_change_options(
+    mol: MolGraph, d: ev.Descriptors, indices, palette
+) -> list[_EditOption]:
     options = []
     for idx in indices:
         old = mol.atoms[idx]
         for element in palette:
             if element == old.element:
                 continue
-            new_d = _Descriptors(
-                logp=d.logp - _atom_contribution(old) + ev.LOGP_CONTRIBUTION[element],
-                hac=d.hac,
+            new_d = replace(
+                d,
+                logp=d.logp - ev.logp_contribution(old) + ev.LOGP_CONTRIBUTION[element],
                 hetero=d.hetero - (old.element != "C") + (element != "C"),
-                aromatic_rings=d.aromatic_rings,
-                largest_ring=d.largest_ring,
             )
 
             def build(idx=idx, element=element):
@@ -297,20 +256,23 @@ def _element_change_options(mol, d, indices, palette):
     return options
 
 
-def _swap_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption]:
+def _swap_options(
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
+) -> list[_EditOption]:
     return _element_change_options(mol, d, _terminal_indices(mol), palette)
 
 
-def _attach_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption]:
+def _attach_options(
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
+) -> list[_EditOption]:
     options = []
     for anchor in _attachment_points(mol):
         for element in palette:
-            new_d = _Descriptors(
+            new_d = replace(
+                d,
                 logp=d.logp + ev.LOGP_CONTRIBUTION[element],
                 hac=d.hac + 1,
                 hetero=d.hetero + (element != "C"),
-                aromatic_rings=d.aromatic_rings,
-                largest_ring=d.largest_ring,
             )
 
             def build(anchor=anchor, element=element):
@@ -321,24 +283,27 @@ def _attach_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption
     return options
 
 
-def _remove_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption]:
+def _remove_options(
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
+) -> list[_EditOption]:
     if len(mol.atoms) <= 2:
         return []
     options = []
     for idx in _terminal_indices(mol):
         old = mol.atoms[idx]
-        new_d = _Descriptors(
-            logp=d.logp - _atom_contribution(old),
+        new_d = replace(
+            d,
+            logp=d.logp - ev.logp_contribution(old),
             hac=d.hac - 1,
             hetero=d.hetero - (old.element != "C"),
-            aromatic_rings=d.aromatic_rings,
-            largest_ring=d.largest_ring,
         )
         options.append(_EditOption(new_d, lambda idx=idx: _remove_atom(mol, idx)))
     return options
 
 
-def _move_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption]:
+def _move_options(
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
+) -> list[_EditOption]:
     adj = neighbors(mol)
     options = []
     anchors = _attachment_points(mol)
@@ -363,7 +328,9 @@ def _move_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption]:
     return options
 
 
-def _mutate_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption]:
+def _mutate_options(
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
+) -> list[_EditOption]:
     try:
         orders = kekule_orders(mol)
     except Exception:
@@ -384,7 +351,7 @@ def _mutate_options(mol: MolGraph, d: _Descriptors, palette) -> list[_EditOption
 
 
 def _ring_append_options(
-    mol: MolGraph, d: _Descriptors, palette, rng: random.Random
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
 ) -> list[_EditOption]:
     """Close a new carbon ring between two open atoms a short path apart.
 
@@ -393,11 +360,7 @@ def _ring_append_options(
     built eagerly (ring geometry is not a descriptor-level delta).
     """
     adj = neighbors(mol)
-    open_atoms = [
-        i
-        for i, atom in enumerate(mol.atoms)
-        if atom.explicit_h is None and free_valence(mol, i) >= 1
-    ]
+    open_atoms = _attachment_points(mol)
     bonded = {b.pair for b in mol.bonds}
     pairs = []
     for position, start in enumerate(open_atoms):
@@ -436,7 +399,7 @@ def _ring_append_options(
 
 
 def _ring_contract_options(
-    mol: MolGraph, d: _Descriptors, palette, rng: random.Random
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
 ) -> list[_EditOption]:
     adj = neighbors(mol)
     ring = ring_atom_flags(mol)
@@ -482,31 +445,20 @@ _FAMILY_BUILDERS = {
     "remove": _remove_options,
     "move": _move_options,
     "mutate": _mutate_options,
+    "ring_append": _ring_append_options,
+    "ring_contract": _ring_contract_options,
 }
 
 
-def _options_for(
-    family: str, mol: MolGraph, d: _Descriptors, palette, rng: random.Random
-) -> list[_EditOption]:
-    if family in _FAMILY_BUILDERS:
-        return _FAMILY_BUILDERS[family](mol, d, palette)
-    if family == "ring_append":
-        return _ring_append_options(mol, d, palette, rng)
-    return _ring_contract_options(mol, d, palette, rng)
-
-
 def _option_score(option: _EditOption, property_id: str, sign: float) -> float | None:
-    if option.descriptors is not None:
-        value = _predict_value(property_id, option.descriptors)
-        return None if value is None else sign * value
-    graph = option.build()
-    if graph is None or not validate(graph).valid:
-        return None
-    option.build = lambda graph=graph: graph  # reuse the constructed graph
-    scorer = ev.BUILTIN_SURROGATES.get(property_id)
-    if scorer is None:
-        return None
-    return sign * scorer(graph)
+    d = option.descriptors
+    if d is None:
+        graph = option.build()
+        if not validate(graph).valid:
+            return None
+        option.build = lambda graph=graph: graph  # reuse the constructed graph
+        d = ev.descriptors(graph, property_id)
+    return sign * ev.predict(property_id, d)
 
 
 def _one_edit(
@@ -523,11 +475,11 @@ def _one_edit(
     capable instruction-follower); otherwise, or when the property has no
     builtin surrogate, it takes a random applicable option.
     """
-    d = _descriptors(mol)
+    d = ev.descriptors(mol, instruction.property_id)
     known_property = instruction.property_id in ev.BUILTIN_SURROGATES
     sign = 1.0 if instruction.direction == ev.MAXIMIZE else -1.0
     for family in _FAMILIES_BY_KIND_AND_STYLE[profile.edit_kind][style]:
-        options = _options_for(family, mol, d, profile.palette, rng)
+        options = _FAMILY_BUILDERS[family](mol, d, profile.palette, rng)
         if not options:
             continue
         greedy = known_property and rng.random() < profile.competence
@@ -543,7 +495,7 @@ def _one_edit(
             rng.shuffle(order)
         for position in order:
             graph = options[position].build()
-            if graph is not None and validate(graph).valid:
+            if validate(graph).valid:
                 return graph
     return None
 

@@ -12,7 +12,6 @@ from leadopt.buffer import (
     prefix_match,
     record_from_dict,
     record_to_dict,
-    template,
 )
 from leadopt.fingerprint import morgan_fp, tanimoto
 from leadopt.molgraph import canonical_form, parse_smiles
@@ -150,14 +149,6 @@ def test_partition_isolation():
     assert record.property_id == "qed"
 
 
-def test_template_verbatim():
-    actions = [ToolAction("swap", 0), ToolAction("mutate", 2), ToolAction("swap", 1)]
-    record = make_record("CCO", actions=actions)
-    assert template(record) == actions
-    single = make_record("CCO", actions=[ToolAction("ring", 5)])
-    assert template(single) == [ToolAction("ring", 5)]
-
-
 def test_prefix_match_cases():
     a3 = make_record("CCO", actions=[ToolAction("swap", 0), ToolAction("mutate", 2), ToolAction("swap", 1)])
     same = make_record("CCN", actions=[ToolAction("swap", 0), ToolAction("mutate", 2), ToolAction("swap", 1)])
@@ -208,7 +199,7 @@ def test_action_order_survives_reload(tmp_path):
     path = tmp_path / "buffer.jsonl"
     buffer.flush(str(path))
     reloaded = TrajectoryBuffer.load(str(path))
-    assert template(reloaded.records("plogp")[0]) == actions
+    assert list(reloaded.records("plogp")[0].actions) == actions
 
 
 def test_load_rejects_tampered_fingerprint(tmp_path):

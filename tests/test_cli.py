@@ -343,6 +343,68 @@ def test_per_lead_failure_does_not_sink_the_run(tmp_path, capsys):
     assert "failed_campaigns=1" in capsys.readouterr().out
 
 
+# -- configuration files -----------------------------------------------------------
+
+
+def test_tools_config_honours_profile_keys(tmp_path):
+    config = tmp_path / "tools.json"
+    profile = {"edit_kind": "mutate", "palette": ["F", "Cl"], "aggressive_edits": 3}
+    config.write_text(json.dumps({"tools": [{"tool_id": "halo", "profile": profile}]}))
+    (spec,) = cli.load_toolset(str(config))
+    assert spec.kind.edit_kind == "mutate"
+    assert spec.kind.palette == ("F", "Cl")
+    assert spec.kind.aggressive_edits == 3
+
+
+@pytest.mark.parametrize(
+    "flag, document",
+    [
+        pytest.param("--tools-config", {"tools": [{"kind": "builtin"}]}, id="no-tool_id"),
+        pytest.param(
+            "--tools-config", {"tools": [{"tool_id": "x", "kind": "external"}]}, id="no-tool-endpoint"
+        ),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "kind": "external", "endpoint": "python3 tool.py"}]},
+            id="string-tool-endpoint",
+        ),
+        pytest.param("--tools-config", "{not json", id="tools-not-json"),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "profile": {"edit_kind": "bogus"}}]},
+            id="bogus-edit_kind",
+        ),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "profile": {"palette": ["C", "Xe"]}}]},
+            id="bad-palette-element",
+        ),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "profile": {"aggressive_edits": 0}}]},
+            id="zero-aggressive_edits",
+        ),
+        pytest.param(
+            "--evaluators-config",
+            {"evaluators": {"size": {"direction": "maximize"}}},
+            id="no-evaluator-endpoint",
+        ),
+        pytest.param(
+            "--evaluators-config",
+            {"evaluators": {"size": {"endpoint": "python3 eval.py"}}},
+            id="string-evaluator-endpoint",
+        ),
+        pytest.param("--evaluators-config", "{not json", id="evaluators-not-json"),
+    ],
+)
+def test_malformed_config_exits_2(dataset, tmp_path, flag, document):
+    config = tmp_path / "config.json"
+    config.write_text(document if isinstance(document, str) else json.dumps(document))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", dataset, flag, str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # -- external endpoints through configs ----------------------------------------------
 
 

@@ -11,17 +11,17 @@ from _molbuild import permuted_copy, random_molgraph
 
 
 def test_logp_ethane():
-    assert ev.surrogate_logp(parse_smiles("CC")) == pytest.approx(0.28)
+    assert ev.BUILTIN_SURROGATES["logp"](parse_smiles("CC")) == pytest.approx(0.28)
 
 
 def test_plogp_benzene():
     # Six aromatic carbons at 0.29 each; six-ring carries no penalty.
-    assert ev.surrogate_plogp(parse_smiles("c1ccccc1")) == pytest.approx(1.74)
+    assert ev.BUILTIN_SURROGATES["plogp"](parse_smiles("c1ccccc1")) == pytest.approx(1.74)
 
 
 def test_plogp_large_ring_penalty():
     mol = parse_smiles("C1CCCCCCC1")  # eight-ring: penalty 2
-    assert ev.surrogate_plogp(mol) == pytest.approx(8 * 0.14 - 2)
+    assert ev.BUILTIN_SURROGATES["plogp"](mol) == pytest.approx(8 * 0.14 - 2)
 
 
 def test_drug_likeness_peak_is_one():
@@ -36,7 +36,7 @@ def test_dlk_molecule_near_peak():
     hetero = sum(1 for a in mol.atoms if a.element != "C")
     assert hetero == 8
     expected = math.exp(-(((0.32 - 0.3) / 0.3) ** 2))
-    assert ev.surrogate_dlk(mol) == pytest.approx(expected)
+    assert ev.BUILTIN_SURROGATES["qed"](mol) == pytest.approx(expected)
 
 
 def test_builtin_property_directions():
@@ -208,3 +208,22 @@ def test_external_evaluator_rejects_non_finite_and_malformed():
     short = ev.ExternalEvaluator("p", lambda request: {"values": [], "errors": []})
     with pytest.raises(ev.EvaluatorUnavailableError):
         short(["C"])
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param([0.5], id="list"),
+        pytest.param("0.5", id="string"),
+        pytest.param(None, id="none"),
+        pytest.param({"values": ["abc"]}, id="text-value"),
+        pytest.param({"values": [None]}, id="null-value"),
+        pytest.param({"values": [True]}, id="boolean-value"),
+        pytest.param({"errors": [5]}, id="scalar-error-entry"),
+        pytest.param({"errors": [[0]]}, id="short-error-entry"),
+    ],
+)
+def test_external_evaluator_malformed_reply_is_unavailable(reply):
+    evaluator = ev.ExternalEvaluator("p", lambda request: reply)
+    with pytest.raises(ev.EvaluatorUnavailableError):
+        evaluator(["C"])

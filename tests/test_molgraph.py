@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leadopt import evaluate as ev
+from leadopt import tools as tl
 from leadopt.molgraph import (
     DOUBLE,
     SINGLE,
@@ -200,6 +204,24 @@ def test_canonical_idempotent_on_corpus():
     for text in CURATED_SMILES:
         canon = canonical_form(parse_smiles(text))
         assert canonical_form(parse_smiles(canon)) == canon
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_canonical_form_round_trips_and_ignores_labels(seed):
+    # A campaign step starts from the parsed canonical string of the previous
+    # winner and does not canonicalize it again, which needs both invariants
+    # on leads and on every builtin tool's edits.
+    rng = random.Random(seed)
+    mol = random_molgraph(rng)
+    graphs = [mol]
+    for spec in tl.builtin_toolset(flaky_p_fail=0.0):
+        instruction = tl.build_instruction(spec, seed % 6, ev.builtin_property("plogp"))
+        graphs.append(tl.simulated_tool_step(spec.kind, mol, instruction, seed))
+    for graph in graphs:
+        canon = canonical_form(graph)
+        assert canonical_form(parse_smiles(canon)) == canon
+        assert canonical_form(permuted_copy(graph, rng)) == canon
 
 
 def test_ring_digit_reuse_parses():

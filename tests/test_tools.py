@@ -1,7 +1,10 @@
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadopt import evaluate as ev
 from leadopt import tools as tl
@@ -182,16 +185,24 @@ def test_behavioral_separation_mean_similarity():
     assert means["swap"] > means["mutate"] > means["ring"]
 
 
-def test_descriptor_prediction_matches_evaluators():
-    # The editors rank options with closed-form descriptor arithmetic; it
-    # must agree exactly with the real surrogate evaluators.
-    rng = random.Random(99)
-    for _ in range(60):
-        mol = random_molgraph(rng)
-        d = tl._descriptors(mol)
-        for pid, fn in ev.BUILTIN_SURROGATES.items():
-            assert tl._predict_value(pid, d) == pytest.approx(fn(mol), abs=1e-12)
-    assert tl._predict_value("unknown-property", tl._descriptors(parse_smiles("CC"))) is None
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    property_id=st.sampled_from(sorted(ev.BUILTIN_SURROGATES)),
+)
+def test_edit_option_descriptors_match_built_graph(seed, property_id):
+    # The editors rank options by descriptor arithmetic instead of building
+    # each graph; the predicted record must be the built graph's record.
+    mol = random_molgraph(random.Random(seed))
+    d = ev.descriptors(mol, property_id)
+    palette = ("C", "N", "O", "S", "F", "Cl", "Br")
+    for builder in tl._FAMILY_BUILDERS.values():
+        for option in builder(mol, d, palette, random.Random(seed)):
+            if option.descriptors is None:
+                continue
+            built = ev.descriptors(option.build(), property_id)
+            assert option.descriptors.logp == pytest.approx(built.logp, abs=1e-9)
+            assert replace(option.descriptors, logp=built.logp) == built
 
 
 # -- external tools ----------------------------------------------------------
