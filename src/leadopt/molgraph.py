@@ -13,7 +13,6 @@ rejected (a flag keeps the largest fragment instead).
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 
 # Bond order codes. AROMATIC marks bonds inside perceived aromatic rings;
@@ -767,23 +766,26 @@ def write_smiles(mol: MolGraph, ranks: tuple[int, ...] | None = None) -> str:
         digit = digit_of_bond[bi]
         return str(digit) if digit < 10 else f"%{digit:02d}"
 
-    def emit(node: int) -> str:
-        parts = [_atom_token(mol, node)]
-        for bi in digits_at[node]:
+    # Pre-order emission from an explicit stack of atoms and literal
+    # tokens, so deep chains need no recursion.
+    parts: list[str] = []
+    pending: list[int | str] = [start]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(_atom_token(mol, item))
+        for bi in digits_at[item]:
             parts.append(_bond_token(mol, bi) + digit_token(bi))
-        children = tree_children[node]
-        for pos, (child, bi) in enumerate(children):
-            body = _bond_token(mol, bi) + emit(child)
-            parts.append(f"({body})" if pos < len(children) - 1 else body)
-        return "".join(parts)
-
-    limit = sys.getrecursionlimit()
-    if len(mol.atoms) + 100 > limit:
-        sys.setrecursionlimit(len(mol.atoms) + 200)
-    try:
-        return emit(start)
-    finally:
-        sys.setrecursionlimit(limit)
+        children = tree_children[item]
+        for pos in range(len(children) - 1, -1, -1):
+            child, bi = children[pos]
+            if pos < len(children) - 1:
+                pending.extend((")", child, "(" + _bond_token(mol, bi)))
+            else:
+                pending.extend((child, _bond_token(mol, bi)))
+    return "".join(parts)
 
 
 def _initial_keys(mol: MolGraph) -> list[tuple]:
@@ -798,6 +800,7 @@ def _initial_keys(mol: MolGraph) -> list[tuple]:
             hydrogens[i],
             atom.aromatic,
             ring[i],
+            atom.explicit_h is not None,
         )
         for i, atom in enumerate(mol.atoms)
     ]
@@ -838,33 +841,142 @@ def _signature(mol: MolGraph, ranks: list[int], initial: list[tuple]) -> tuple:
     )
 
 
+class _SearchNode:
+    """One node of the canonical search: a refined ranking whose lowest tied
+    class (its cell) is individualized one atom at a time.
+
+    ``automorphisms`` holds the automorphisms found so far that fix every
+    atom individualized on the way to this node, each as a dict from moved
+    atom to image; ``orbit`` is their union-find over atoms, kept up to date
+    as automorphisms arrive.
+    """
+
+    __slots__ = ("ranks", "cell", "cursor", "explored", "automorphisms", "orbit")
+
+    def __init__(self, ranks: list[int], cell: list[int], automorphisms: list[dict[int, int]]):
+        self.ranks = ranks
+        self.cell = cell
+        self.cursor = 0
+        self.explored: list[int] = []
+        self.automorphisms = automorphisms
+        self.orbit = list(range(len(ranks)))
+        for moved in automorphisms:
+            self._union(moved)
+
+    def _root(self, atom: int) -> int:
+        orbit = self.orbit
+        while orbit[atom] != atom:
+            orbit[atom] = orbit[orbit[atom]]
+            atom = orbit[atom]
+        return atom
+
+    def _union(self, moved: dict[int, int]) -> None:
+        for atom, image in moved.items():
+            a, b = self._root(atom), self._root(image)
+            if a != b:
+                self.orbit[max(a, b)] = min(a, b)
+
+    def _shares_orbit(self, atom: int, others: list[int]) -> bool:
+        root = self._root(atom)
+        return any(self._root(other) == root for other in others)
+
+    def next_atom(self) -> int | None:
+        """The next cell atom in no orbit of an explored one, or None."""
+        while self.cursor < len(self.cell):
+            atom = self.cell[self.cursor]
+            self.cursor += 1
+            if not self._shares_orbit(atom, self.explored):
+                self.explored.append(atom)
+                return atom
+        return None
+
+    def absorb(self, moved: dict[int, int]) -> bool:
+        """Add an automorphism that fixes this node's path.
+
+        True when it puts the atom being explored in the orbit of an earlier
+        explored one: the rest of that subtree is then an image of explored
+        work, and the search may leave it.
+        """
+        self.automorphisms.append(moved)
+        self._union(moved)
+        return self._shares_orbit(self.explored[-1], self.explored[:-1])
+
+
+def _first_tied_cell(ranks: list[int]) -> list[int]:
+    classes: dict[int, list[int]] = {}
+    for i, rank in enumerate(ranks):
+        classes.setdefault(rank, []).append(i)
+    tied = [rank for rank, members in classes.items() if len(members) > 1]
+    return classes[min(tied)] if tied else []
+
+
 def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
     """Permutation-invariant atom ranking via iterative refinement.
 
     Remaining ties after refinement are broken by individualizing each tied
-    atom in the lowest tied class and keeping the branch with the smallest
-    final signature, so automorphic choices collapse to one result.
+    atom in the lowest tied class and keeping the first leaf with the
+    smallest final signature, so automorphic choices collapse to one result.
+
+    Two leaves with equal signatures give an automorphism: the atom of rank
+    r in one maps to the atom of rank r in the other. A tied atom in the
+    orbit of an already explored one, under the automorphisms found so far
+    that fix the individualized atoms above it, is skipped: its subtree is
+    an image of an explored one and holds only signatures already seen, so
+    the result is the one the unpruned search returns (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014). For the same reason the search
+    leaves a subtree as soon as a new automorphism puts its root in such an
+    orbit.
     """
     initial = _initial_keys(mol)
-
-    def solve(ranks: list[int]) -> tuple[tuple, list[int]]:
+    seen: dict[tuple, list[int]] = {}
+    best_signature: tuple | None = None
+    best_ranks: list[int] = []
+    path: list[_SearchNode] = []
+    ranks = _dense_ranks(initial)
+    while True:
         ranks = _refine(mol, ranks)
-        classes: dict[int, list[int]] = {}
-        for i, rank in enumerate(ranks):
-            classes.setdefault(rank, []).append(i)
-        tied = sorted(rank for rank, members in classes.items() if len(members) > 1)
-        if not tied:
-            return _signature(mol, ranks, initial), ranks
-        best: tuple[tuple, list[int]] | None = None
-        for atom in classes[tied[0]]:
-            keys = [(ranks[i], 0 if i == atom else 1) for i in range(len(ranks))]
-            candidate = solve(_dense_ranks(keys))
-            if best is None or candidate[0] < best[0]:
-                best = candidate
-        return best
-
-    _, ranks = solve(_dense_ranks(initial))
-    return tuple(ranks)
+        cell = _first_tied_cell(ranks)
+        if cell:
+            if path:
+                chosen = path[-1].explored[-1]
+                fixing = [moved for moved in path[-1].automorphisms if chosen not in moved]
+            else:
+                fixing = []
+            path.append(_SearchNode(ranks, cell, fixing))
+        else:
+            signature = _signature(mol, ranks, initial)
+            earlier = seen.get(signature)
+            if earlier is None:
+                seen[signature] = ranks
+                if best_signature is None or signature < best_signature:
+                    best_signature, best_ranks = signature, ranks
+            else:
+                atom_of_rank = [0] * len(earlier)
+                for atom, rank in enumerate(earlier):
+                    atom_of_rank[rank] = atom
+                moved = {
+                    atom: atom_of_rank[rank]
+                    for atom, rank in enumerate(ranks)
+                    if atom_of_rank[rank] != atom
+                }
+                # It serves every node above the first one whose explored
+                # atom it moves, and that node itself.
+                for depth, node in enumerate(path):
+                    if node.absorb(moved):
+                        del path[depth + 1 :]
+                        break
+                    if node.explored[-1] in moved:
+                        break
+        while path:
+            atom = path[-1].next_atom()
+            if atom is not None:
+                ranks = _dense_ranks(
+                    [(rank, 0 if i == atom else 1) for i, rank in enumerate(path[-1].ranks)]
+                )
+                break
+            path.pop()
+        else:
+            return tuple(best_ranks)
 
 
 def canonical_form(mol: MolGraph) -> str:
@@ -877,14 +989,6 @@ def canonical_form(mol: MolGraph) -> str:
 # ---------------------------------------------------------------------------
 # Descriptors shared by evaluators and fingerprints
 # ---------------------------------------------------------------------------
-
-
-def hetero_fraction(mol: MolGraph) -> float:
-    """Fraction of heavy atoms that are not carbon."""
-    if not mol.atoms:
-        return 0.0
-    hetero = sum(1 for atom in mol.atoms if atom.element != "C")
-    return hetero / len(mol.atoms)
 
 
 def largest_ring_size(mol: MolGraph) -> int:

@@ -159,7 +159,6 @@ class CampaignState:
 
 @dataclass(frozen=True)
 class _LeadContext:
-    mol: MolGraph
     canonical: str
     fingerprint: Fingerprint
     initial: ev.PropertyValue
@@ -489,7 +488,6 @@ def run_campaign(config: RunConfig, lead_mol: MolGraph) -> CampaignResult:
     if not report.valid:
         raise ConfigError(f"lead molecule invalid: {report.violations[0][2]}")
     lead = _LeadContext(
-        mol=lead_mol,
         canonical=canonical_form(lead_mol),
         fingerprint=morgan_fp(lead_mol),
         initial=ev.evaluate(config.property_spec, lead_mol),

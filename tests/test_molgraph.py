@@ -20,7 +20,6 @@ from leadopt.molgraph import (
     aromatic_ring_count,
     canonical_form,
     free_valence,
-    hetero_fraction,
     hydrogen_counts,
     largest_ring_size,
     parse_smiles,
@@ -245,7 +244,7 @@ def test_descriptors():
     assert aromatic_ring_count(benzene) == 1
     assert aromatic_ring_count(naphthalene) == 2
     assert aromatic_ring_count(parse_smiles("CCCC")) == 0
-    assert hetero_fraction(parse_smiles("CCO")) == pytest.approx(1 / 3)
+    assert ev.descriptors(parse_smiles("CCO"), "qed").hetero_fraction == pytest.approx(1 / 3)
 
 
 def test_free_valence():
