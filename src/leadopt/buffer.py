@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 
 from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, morgan_fp, tanimoto
-from .molgraph import MolGraph, parse_smiles
+from .molgraph import MolGraph, ParseError, parse_smiles
 
 
 class SchemaError(ValueError):
@@ -139,19 +139,17 @@ class TrajectoryBuffer:
                     continue
                 try:
                     record = record_from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-                if buffer is None:
-                    buffer = cls(record.lead_fp.radius, record.lead_fp.nbits)
-                if verify:
-                    recomputed = morgan_fp(
-                        parse_smiles(record.lead), buffer.fp_radius, buffer.fp_nbits
-                    )
-                    if recomputed != record.lead_fp:
-                        raise SchemaError(
-                            f"{path}:{lineno}: stored fingerprint does not match lead"
+                    if buffer is None:
+                        buffer = cls(record.lead_fp.radius, record.lead_fp.nbits)
+                    if verify:
+                        recomputed = morgan_fp(
+                            parse_smiles(record.lead), buffer.fp_radius, buffer.fp_nbits
                         )
-                buffer.insert(record)
+                        if recomputed != record.lead_fp:
+                            raise SchemaError("stored fingerprint does not match lead")
+                    buffer.insert(record)
+                except (json.JSONDecodeError, SchemaError, ParseError) as exc:
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
         return buffer if buffer is not None else cls()
 
 
@@ -186,6 +184,8 @@ def record_to_dict(record: TrajectoryRecord) -> dict:
 
 def record_from_dict(data: dict) -> TrajectoryRecord:
     try:
+        if not isinstance(data["lead"], str):
+            raise SchemaError(f"lead must be a SMILES string, got {data['lead']!r:.80}")
         fingerprint = Fingerprint.from_hex(
             data["lead_fp_hex"], int(data["fp_nbits"]), int(data["fp_radius"])
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -71,7 +72,9 @@ def text_endpoint(argv: list[str], timeout: float = 60.0):
             timeout=timeout,
         )
         if proc.returncode != 0:
-            raise RuntimeError(f"endpoint {argv[0]} exited {proc.returncode}: {proc.stderr.strip()}")
+            raise RuntimeError(
+                f"endpoint {shlex.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}"
+            )
         return proc.stdout
 
     return call
@@ -186,6 +189,13 @@ def ingest(
                 property_id = row["property"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 log.warning("%s:%d: skipping malformed row (%s)", path, lineno, exc)
+                skipped += 1
+                continue
+            if not isinstance(smiles, str) or not isinstance(property_id, str):
+                log.warning(
+                    "%s:%d: skipping malformed row (smiles and property must be strings)",
+                    path, lineno,
+                )
                 skipped += 1
                 continue
             if property_id not in known_properties:
@@ -319,12 +329,17 @@ def report_command(results_path: str, csv_path: str | None, label: str) -> int:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{results_path}:{lineno}: {exc}") from exc
-            if "error" in record:
+            if isinstance(record, dict) and "error" in record:
                 errors += 1
                 continue
-            if "steps" not in record:
+            if not isinstance(record, dict) or "steps" not in record:
                 raise SchemaError(f"{results_path}:{lineno}: not a campaign record")
-            outcomes.append(mx.outcome_from_record(record))
+            try:
+                outcomes.append(mx.outcome_from_record(record))
+            except (KeyError, TypeError) as exc:
+                raise SchemaError(
+                    f"{results_path}:{lineno}: malformed campaign record ({exc!r})"
+                ) from exc
     if not outcomes:
         raise EmptyDatasetError(f"{results_path}: no campaign records")
     report = mx.compile_report(outcomes)

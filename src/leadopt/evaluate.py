@@ -53,7 +53,17 @@ LOGISTIC_COEFFICIENTS = {
 
 
 class EvaluatorUnavailableError(RuntimeError):
-    """External evaluator endpoint failed or reported an error."""
+    """External evaluator endpoint failed or reported an error.
+
+    outcomes is None when the whole request failed: a transport failure or
+    a reply envelope that cannot be read. When only some samples failed it
+    holds one entry per requested SMILES: the value of a good sample, or the
+    error message of a failed one.
+    """
+
+    def __init__(self, message: str, outcomes: list[float | str] | None = None):
+        super().__init__(message)
+        self.outcomes = outcomes
 
 
 class PropertyMismatchError(ValueError):
@@ -207,7 +217,8 @@ class ExternalEvaluator:
     document ``{"values": [...], "errors": [[index, message], ...]}``.
     Transport failures and per-sample errors surface as
     EvaluatorUnavailableError; they mark candidates failed-by-evaluation
-    rather than aborting a campaign.
+    rather than aborting a campaign. A per-sample error carries the outcome
+    of every sample, so a batching caller keeps the good ones.
     """
 
     def __init__(self, property_id: str, transport: Callable[[dict], dict]):
@@ -220,44 +231,112 @@ class ExternalEvaluator:
             response = self.transport(request)
         except Exception as exc:  # transport failure of any flavor
             raise EvaluatorUnavailableError(str(exc)) from exc
-        if not isinstance(response, dict):
-            raise EvaluatorUnavailableError(f"malformed evaluator response: {response!r:.80}")
-        errors = response.get("errors")
-        if errors:
-            first = errors[0] if isinstance(errors, list) else None
-            if isinstance(first, list) and len(first) == 2:
-                raise EvaluatorUnavailableError(f"sample {first[0]}: {first[1]}")
-            raise EvaluatorUnavailableError(f"malformed evaluator errors: {errors!r:.80}")
-        values = response.get("values")
-        if not isinstance(values, list) or len(values) != len(smiles_list):
-            raise EvaluatorUnavailableError("malformed evaluator response")
-        out = []
-        for value in values:
-            if isinstance(value, bool):
-                raise EvaluatorUnavailableError(f"boolean value {value} from evaluator")
-            try:
-                number = float(value)
-            except (TypeError, ValueError) as exc:
-                raise EvaluatorUnavailableError(f"non-numeric value {value!r:.80}") from exc
-            if not math.isfinite(number):
-                raise EvaluatorUnavailableError("non-finite value from evaluator")
-            out.append(number)
-        return out
+        outcomes = _reply_outcomes(response, len(smiles_list))
+        for outcome in outcomes:
+            if isinstance(outcome, str):
+                raise EvaluatorUnavailableError(outcome, outcomes)
+        return outcomes
 
 
-def evaluate(spec: PropertySpec, mol: MolGraph) -> PropertyValue:
-    """Deterministic property value for a valid molecule."""
-    report = validate(mol)
-    if not report.valid:
-        from .fingerprint import InvalidMoleculeError
+def _is_error_entry(entry: object, n: int) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], int)
+        and not isinstance(entry[0], bool)
+        and 0 <= entry[0] < n
+    )
 
-        raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
+
+def _sample_value(value: object) -> float | str:
+    """A reply value as a finite float, or the message saying why it is not one."""
+    if isinstance(value, bool):
+        return f"boolean value {value} from evaluator"
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return f"non-numeric value {value!r:.80}"
+    if not math.isfinite(number):
+        return "non-finite value from evaluator"
+    return number
+
+
+def _reply_outcomes(response: object, n: int) -> list[float | str]:
+    """Per-sample outcomes of a reply to n SMILES: a value or an error message.
+
+    An error entry or a missing or bad value fails only its sample. Raises
+    EvaluatorUnavailableError when the envelope cannot be read: a reply that
+    is not a dict, values that are not a list of at most n entries, or errors
+    that are not a list of [in-range index, message] pairs.
+    """
+    if not isinstance(response, dict):
+        raise EvaluatorUnavailableError(f"malformed evaluator response: {response!r:.80}")
+    values = response.get("values", [])
+    errors = response.get("errors") or []
+    if not isinstance(values, list) or len(values) > n:
+        raise EvaluatorUnavailableError(f"malformed evaluator values: {values!r:.80}")
+    if not isinstance(errors, list) or not all(_is_error_entry(e, n) for e in errors):
+        raise EvaluatorUnavailableError(f"malformed evaluator errors: {errors!r:.80}")
+    messages: dict[int, str] = {}
+    for index, message in errors:
+        messages.setdefault(index, str(message))
+    outcomes: list[float | str] = []
+    for index in range(n):
+        if index in messages:
+            outcome = messages[index]
+        elif index < len(values):
+            outcome = _sample_value(values[index])
+        else:
+            outcome = "no value from evaluator"
+        outcomes.append(f"sample {index}: {outcome}" if isinstance(outcome, str) else outcome)
+    return outcomes
+
+
+def evaluate_batch(
+    spec: PropertySpec, mols: list[MolGraph]
+) -> list[PropertyValue | EvaluatorUnavailableError]:
+    """Property values of valid molecules, one evaluator request for all.
+
+    An external evaluator receives every molecule's SMILES in one call. A
+    sample it fails gets an EvaluatorUnavailableError in its place; a failed
+    request or an unreadable reply fails every molecule. Raises
+    InvalidMoleculeError when a molecule is invalid.
+    """
+    for mol in mols:
+        report = validate(mol)
+        if not report.valid:
+            from .fingerprint import InvalidMoleculeError
+
+            raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
     if spec.evaluator == "builtin":
         if spec.id not in BUILTIN_SURROGATES:
             raise KeyError(f"no builtin surrogate for {spec.id!r}")
-        return PropertyValue(surrogate(spec.id, mol), spec.id)
-    values = spec.evaluator([write_smiles(mol)])
-    return PropertyValue(values[0], spec.id)
+        outcomes = [surrogate(spec.id, mol) for mol in mols]
+    elif not mols:
+        return []
+    else:
+        try:
+            outcomes = spec.evaluator([write_smiles(mol) for mol in mols])
+            if len(outcomes) != len(mols):
+                raise EvaluatorUnavailableError(
+                    f"{len(outcomes)} values for {len(mols)} molecules"
+                )
+        except EvaluatorUnavailableError as exc:
+            outcomes = [str(exc)] * len(mols) if exc.outcomes is None else exc.outcomes
+    return [
+        EvaluatorUnavailableError(outcome)
+        if isinstance(outcome, str)
+        else PropertyValue(outcome, spec.id)
+        for outcome in outcomes
+    ]
+
+
+def evaluate(spec: PropertySpec, mol: MolGraph) -> PropertyValue:
+    """Deterministic property value for a valid molecule: a batch of one."""
+    (outcome,) = evaluate_batch(spec, [mol])
+    if isinstance(outcome, EvaluatorUnavailableError):
+        raise outcome
+    return outcome
 
 
 def is_improvement(spec: PropertySpec, new: PropertyValue, ref: PropertyValue) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from . import evaluate as ev
@@ -297,38 +298,58 @@ def plan(
 # ---------------------------------------------------------------------------
 
 
-def _check_candidate(
-    smiles: str, config: RunConfig, lead: _LeadContext
-) -> CandidateCheck:
-    """Ordered checks: parse/validate, similarity to lead, improvement."""
-    try:
-        mol = parse_smiles(smiles)
-    except ParseError:
-        return CandidateCheck(smiles, False, None, None, None, None, tl.INVALID_STRUCTURE, False)
-    canonical = canonical_form(mol)
-    sim = tanimoto(morgan_fp(mol), lead.fingerprint)
-    failure = tl.SIMILARITY_VIOLATION if sim < config.tau else None
-    value = improvement = None
-    try:
-        prop = ev.evaluate(config.property_spec, mol)
-        value = prop.value
-        gain = ev.relative_improvement(config.property_spec, lead.initial, prop)
-        improvement = gain.absolute
-        if failure is None and not gain.improved:
-            failure = tl.NO_IMPROVEMENT
-    except ev.EvaluatorUnavailableError:
-        if failure is None:
-            failure = tl.EVALUATOR_ERROR
-    return CandidateCheck(
-        smiles=smiles,
-        valid=True,
-        canonical=canonical,
-        sim_to_lead=sim,
-        value=value,
-        improvement_vs_lead=improvement,
-        failure_kind=failure,
-        passed=failure is None,
+def _check_candidates(
+    smiles_list: list[str], config: RunConfig, lead: _LeadContext
+) -> list[CandidateCheck]:
+    """Ordered checks per candidate: parse/validate, similarity to lead, improvement.
+
+    Every valid candidate is scored in one evaluate_batch call, so an
+    external evaluator gets one request for the whole list.
+    """
+    parsed: list[tuple[MolGraph, str, float] | None] = []
+    for smiles in smiles_list:
+        try:
+            mol = parse_smiles(smiles)
+        except ParseError:
+            parsed.append(None)
+            continue
+        parsed.append((mol, canonical_form(mol), tanimoto(morgan_fp(mol), lead.fingerprint)))
+    outcomes = iter(
+        ev.evaluate_batch(config.property_spec, [entry[0] for entry in parsed if entry is not None])
     )
+    checks = []
+    for smiles, entry in zip(smiles_list, parsed):
+        if entry is None:
+            checks.append(
+                CandidateCheck(smiles, False, None, None, None, None, tl.INVALID_STRUCTURE, False)
+            )
+            continue
+        _, canonical, sim = entry
+        failure = tl.SIMILARITY_VIOLATION if sim < config.tau else None
+        value = improvement = None
+        outcome = next(outcomes)
+        if isinstance(outcome, ev.EvaluatorUnavailableError):
+            if failure is None:
+                failure = tl.EVALUATOR_ERROR
+        else:
+            value = outcome.value
+            gain = ev.relative_improvement(config.property_spec, lead.initial, outcome)
+            improvement = gain.absolute
+            if failure is None and not gain.improved:
+                failure = tl.NO_IMPROVEMENT
+        checks.append(
+            CandidateCheck(
+                smiles=smiles,
+                valid=True,
+                canonical=canonical,
+                sim_to_lead=sim,
+                value=value,
+                improvement_vs_lead=improvement,
+                failure_kind=failure,
+                passed=failure is None,
+            )
+        )
+    return checks
 
 
 def _failed_cases(checks: tuple[CandidateCheck, ...]) -> list[tl.FailedCase]:
@@ -346,15 +367,15 @@ def _spec_by_id(config: RunConfig) -> dict[str, tl.ToolSpec]:
     return {spec.tool_id: spec for spec in config.tool_set}
 
 
-def _run_attempt(
+def _propose(
     config: RunConfig,
-    lead: _LeadContext,
     mol: MolGraph,
     action: ToolAction,
     step_index: int,
     retry: bool,
     failed: list[tl.FailedCase],
-) -> AttemptRecord:
+) -> list[str]:
+    """One tool invocation's candidate strings; none when the tool is unavailable."""
     spec = _spec_by_id(config)[action.tool_id]
     instruction = tl.build_instruction(
         spec, action.prompt_index, config.property_spec, failed
@@ -363,12 +384,35 @@ def _run_attempt(
         config.seed, step_index, action.tool_id, action.prompt_index, int(retry)
     )
     try:
-        result = tl.invoke(spec, instruction, mol, seed)
+        return tl.invoke(spec, instruction, mol, seed).candidates
     except tl.ToolUnavailableError as exc:
         log.warning("tool %s unavailable: %s", action.tool_id, exc)
-        return AttemptRecord(action=action, retry=retry, candidates=())
-    checks = tuple(_check_candidate(smiles, config, lead) for smiles in result.candidates)
-    return AttemptRecord(action=action, retry=retry, candidates=checks)
+        return []
+
+
+def _run_phase(
+    config: RunConfig,
+    lead: _LeadContext,
+    mol: MolGraph,
+    calls: list[tuple[ToolAction, list[tl.FailedCase]]],
+    step_index: int,
+    retry: bool,
+) -> list[AttemptRecord]:
+    """Invoke every (action, failed cases) call, then check all candidates together."""
+    proposals = [
+        _propose(config, mol, action, step_index, retry, failed) for action, failed in calls
+    ]
+    checks = iter(
+        _check_candidates([smiles for batch in proposals for smiles in batch], config, lead)
+    )
+    return [
+        AttemptRecord(action=action, retry=retry, candidates=tuple(islice(checks, len(batch))))
+        for (action, _), batch in zip(calls, proposals)
+    ]
+
+
+def _passed(attempt: AttemptRecord) -> bool:
+    return any(check.passed for check in attempt.candidates)
 
 
 def run_step(
@@ -416,31 +460,34 @@ def run_step(
     else:
         command = plan(config, state.molecule, step_index, state.history, retrieval_hint)
 
-    firsts = [
-        _run_attempt(config, lead, state.molecule, action, step_index, False, [])
-        for action in command.tool_calls
-    ]
-    state.invocations += len(firsts)
+    # Two phases, each checked with one evaluator request: every planned
+    # call, then the retries of those that produced no passing candidate.
+    firsts = _run_phase(
+        config, lead, state.molecule, [(a, []) for a in command.tool_calls], step_index, False
+    )
+    failed = [a for a in firsts if not _passed(a)] if config.retry else []
+    retries = iter(
+        _run_phase(
+            config,
+            lead,
+            state.molecule,
+            [(a.action, _failed_cases(a.candidates)) for a in failed],
+            step_index,
+            True,
+        )
+    )
+    state.invocations += len(firsts) + len(failed)
 
     attempts: list[AttemptRecord] = []
     rescued = False
     action_outcomes: list[tuple[str, bool]] = []
     for attempt in firsts:
         attempts.append(attempt)
-        succeeded = any(check.passed for check in attempt.candidates)
+        succeeded = _passed(attempt)
         if not succeeded and config.retry:
-            retry_attempt = _run_attempt(
-                config,
-                lead,
-                state.molecule,
-                attempt.action,
-                step_index,
-                True,
-                _failed_cases(attempt.candidates),
-            )
-            state.invocations += 1
+            retry_attempt = next(retries)
             attempts.append(retry_attempt)
-            if any(check.passed for check in retry_attempt.candidates):
+            if _passed(retry_attempt):
                 rescued = True
                 succeeded = True
         action_outcomes.append((attempt.action.tool_id, succeeded))

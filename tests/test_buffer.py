@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -215,6 +216,16 @@ def test_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "buffer.jsonl"
     path.write_text("{not json}\n", encoding="utf-8")
     with pytest.raises(SchemaError):
+        TrajectoryBuffer.load(str(path))
+
+
+@pytest.mark.parametrize("lead", ["C1CC", 5], ids=["unparseable-lead", "numeric-lead"])
+def test_load_rejects_bad_lead_naming_line(tmp_path, lead):
+    good = record_to_dict(make_record("CCO"))
+    bad = dict(good, lead=lead)
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ")):
         TrajectoryBuffer.load(str(path))
 
 

@@ -57,6 +57,22 @@ def test_ingest_skips_bad_rows(tmp_path):
     assert entries[1].reference == "CCO"
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param({"smiles": 123, "property": "qed"}, id="numeric-smiles"),
+        pytest.param({"smiles": "CCO", "property": ["qed"]}, id="list-property"),
+    ],
+)
+def test_ingest_skips_non_string_fields(tmp_path, row, caplog):
+    path = tmp_path / "rows.jsonl"
+    write_dataset(path, [row, {"smiles": "CCN", "property": "qed"}])
+    entries, skipped = cli.ingest(str(path), {"qed"})
+    assert [entry.smiles for entry in entries] == ["CCN"]
+    assert skipped == 1
+    assert f"{path}:1: skipping malformed row" in caplog.text
+
+
 def test_ingest_conservation(tmp_path):
     path = tmp_path / "rows.jsonl"
     rows = dataset_rows() + [{"smiles": "???", "property": "plogp"}]
@@ -280,6 +296,22 @@ def test_report_rejects_malformed(tmp_path):
     assert cli.main(["report", "--results", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        pytest.param({"steps": 5}, id="steps-not-a-list"),
+        pytest.param({"steps": [5]}, id="step-not-an-object"),
+        pytest.param({"steps": []}, id="no-lead"),
+        pytest.param(5, id="not-an-object"),
+    ],
+)
+def test_report_rejects_wrong_shaped_record(tmp_path, record, caplog):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert cli.main(["report", "--results", str(path)]) == 2
+    assert f"{path}:1:" in caplog.text
+
+
 # -- validate-dataset ---------------------------------------------------------------
 
 
@@ -403,6 +435,31 @@ def test_malformed_config_exits_2(dataset, tmp_path, flag, document):
     out = tmp_path / "results.jsonl"
     assert cli.main(["run", "--dataset", dataset, flag, str(config), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lead", ["C1CC", 5], ids=["unparseable-lead", "numeric-lead"])
+def test_retrieve_with_bad_buffer_lead_exits_2(dataset, tmp_path, lead, caplog):
+    buffer_path = tmp_path / "buffer.jsonl"
+    assert cli.main(["build-buffer", "--dataset", dataset, "--seed", "3", "--out", str(buffer_path)]) == 0
+    records = [json.loads(line) for line in buffer_path.read_text().splitlines()]
+    records[0]["lead"] = lead
+    buffer_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "results.jsonl"
+    code = cli.main(
+        ["run", "--mode", "retrieve", "--dataset", dataset, "--buffer", str(buffer_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert f"{buffer_path}:1:" in caplog.text
+
+
+def test_endpoint_failure_names_whole_argv(tmp_path):
+    script = tmp_path / "failing endpoint.py"
+    script.write_text("import sys\nsys.exit(3)\n", encoding="utf-8")
+    call = cli.text_endpoint([sys.executable, str(script), "--flag"])
+    with pytest.raises(RuntimeError, match="exited 3") as caught:
+        call({"smiles": "CCO"})
+    assert str(script) in str(caught.value)
+    assert "--flag" in str(caught.value)
 
 
 # -- external endpoints through configs ----------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from leadopt import evaluate as ev
 from leadopt.fingerprint import InvalidMoleculeError
-from leadopt.molgraph import Atom, MolGraph, parse_smiles
+from leadopt.molgraph import Atom, MolGraph, parse_smiles, write_smiles
 
 from _molbuild import permuted_copy, random_molgraph
 
@@ -227,3 +227,93 @@ def test_external_evaluator_malformed_reply_is_unavailable(reply):
     evaluator = ev.ExternalEvaluator("p", lambda request: reply)
     with pytest.raises(ev.EvaluatorUnavailableError):
         evaluator(["C"])
+
+
+# -- batched evaluation -------------------------------------------------------
+
+BATCH = [parse_smiles(smiles) for smiles in ("CCO", "CCN", "CCCl")]
+
+
+def external_spec(transport):
+    return ev.PropertySpec("p", ev.MAXIMIZE, ev.ExternalEvaluator("p", transport))
+
+
+def test_batch_is_one_request():
+    requests = []
+
+    def transport(request):
+        requests.append(request["smiles_list"])
+        return {"values": [float(len(s)) for s in request["smiles_list"]], "errors": []}
+
+    outcomes = ev.evaluate_batch(external_spec(transport), BATCH)
+    assert requests == [[write_smiles(mol) for mol in BATCH]]
+    assert [outcome.value for outcome in outcomes] == [3.0, 3.0, 4.0]
+    assert ev.evaluate_batch(external_spec(transport), []) == []
+    assert len(requests) == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param({"values": [1.0, None, 3.0], "errors": [[1, "model refused"]]}, id="error-entry"),
+        pytest.param({"values": [1.0, "abc", 3.0], "errors": []}, id="text-value"),
+        pytest.param({"values": [1.0, float("inf"), 3.0]}, id="non-finite-value"),
+        pytest.param({"values": [1.0, True, 3.0]}, id="boolean-value"),
+    ],
+)
+def test_batch_sample_failure_fails_only_its_index(reply):
+    outcomes = ev.evaluate_batch(external_spec(lambda request: reply), BATCH)
+    assert isinstance(outcomes[1], ev.EvaluatorUnavailableError)
+    assert [outcomes[0].value, outcomes[2].value] == [1.0, 3.0]
+
+
+def test_batch_missing_values_fail_their_indices():
+    reply = {"values": [1.0], "errors": [[2, "model refused"]]}
+    outcomes = ev.evaluate_batch(external_spec(lambda request: reply), BATCH)
+    assert outcomes[0].value == 1.0
+    assert "no value" in str(outcomes[1])
+    assert "model refused" in str(outcomes[2])
+
+
+def test_call_still_raises_with_per_index_outcomes():
+    reply = {"values": [1.0, None, 3.0], "errors": [[1, "model refused"]]}
+    evaluator = ev.ExternalEvaluator("p", lambda request: reply)
+    with pytest.raises(ev.EvaluatorUnavailableError, match="sample 1: model refused") as caught:
+        evaluator(["CCO", "CCN", "CCCl"])
+    assert caught.value.outcomes == [1.0, "sample 1: model refused", 3.0]
+
+
+def _down(request):
+    raise ConnectionError("endpoint down")
+
+
+@pytest.mark.parametrize(
+    "transport",
+    [
+        pytest.param(_down, id="transport-failure"),
+        pytest.param(lambda request: [1.0, 2.0, 3.0], id="list-reply"),
+        pytest.param(lambda request: {"values": [1.0, 2.0, 3.0, 4.0]}, id="too-many-values"),
+        pytest.param(lambda request: {"values": {"0": 1.0}}, id="values-not-a-list"),
+        pytest.param(lambda request: {"values": [1.0, 2.0, 3.0], "errors": [[3, "x"]]}, id="index-out-of-range"),
+        pytest.param(lambda request: {"values": [1.0, 2.0, 3.0], "errors": [[-1, "x"]]}, id="negative-index"),
+        pytest.param(lambda request: {"values": [1.0, 2.0, 3.0], "errors": [[True, "x"]]}, id="boolean-index"),
+        pytest.param(lambda request: {"values": [1.0, 2.0, 3.0], "errors": [[0, "x"], 5]}, id="scalar-entry"),
+        pytest.param(lambda request: {"values": [1.0, 2.0, 3.0], "errors": "x"}, id="errors-not-a-list"),
+    ],
+)
+def test_batch_request_failure_fails_every_index(transport):
+    outcomes = ev.evaluate_batch(external_spec(transport), BATCH)
+    assert all(isinstance(outcome, ev.EvaluatorUnavailableError) for outcome in outcomes)
+    assert len(outcomes) == len(BATCH)
+
+
+def test_single_error_reply_surfaces_its_message():
+    reply = {"values": [], "errors": [[0, "model not loaded"]]}
+    (outcome,) = ev.evaluate_batch(external_spec(lambda request: reply), BATCH[:1])
+    assert "model not loaded" in str(outcome)
+
+
+def test_builtin_batch_matches_single_evaluation():
+    spec = ev.builtin_property("qed")
+    batch = ev.evaluate_batch(spec, BATCH)
+    assert batch == [ev.evaluate(spec, mol) for mol in BATCH]

@@ -1,13 +1,16 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadopt import evaluate as ev
 from leadopt import orchestrate as orc
 from leadopt import tools as tl
 from leadopt.buffer import StepOutcome, ToolAction, TrajectoryBuffer, TrajectoryRecord
 from leadopt.fingerprint import morgan_fp, tanimoto
-from leadopt.molgraph import canonical_form, parse_smiles
+from leadopt.molgraph import canonical_form, parse_smiles, write_smiles
 
 from _molbuild import lead_pool
 
@@ -334,6 +337,98 @@ def test_malformed_evaluator_reply_fails_only_that_candidate():
     assert len(kinds) > 1
     assert kinds.count(tl.EVALUATOR_ERROR) == 1
     assert json.loads(orc.result_to_line(result))["lead"] == canonical_form(LEAD)
+
+
+def seeded_value(seed, smiles):
+    """A value from the SMILES string, or None for a seeded tenth of strings."""
+    digest = hashlib.sha256(f"{seed}/{smiles}".encode()).digest()
+    return None if digest[0] < 26 else len(smiles) / 10 + digest[1] / 256
+
+
+def seeded_transport(seed, requests):
+    """Evaluator transport serving seeded_value, with an error entry for each None."""
+
+    def transport(request):
+        requests.append(list(request["smiles_list"]))
+        values = [seeded_value(seed, smiles) for smiles in request["smiles_list"]]
+        errors = [[index, "refused"] for index, value in enumerate(values) if value is None]
+        return {"values": values, "errors": errors}
+
+    return transport
+
+
+def test_one_evaluator_request_per_step_phase():
+    requests = []
+    spec = ev.PropertySpec("size", ev.MAXIMIZE, ev.ExternalEvaluator("size", seeded_transport(3, requests)))
+    result = orc.run_campaign(config_for("parallel", property_spec=spec, steps=3), LEAD)
+    expected = [[write_smiles(LEAD)]]
+    for step in result.steps:
+        for retry in (False, True):
+            phase = [
+                write_smiles(parse_smiles(check.smiles))
+                for attempt in step.attempts
+                if attempt.retry == retry
+                for check in attempt.candidates
+                if check.valid
+            ]
+            if phase:
+                expected.append(phase)
+    assert requests == expected
+    assert any(attempt.retry for step in result.steps for attempt in step.attempts)
+
+
+class OneSmilesPerRequest:
+    """Evaluator sending each SMILES of a batch in its own request."""
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+
+    def __call__(self, smiles_list):
+        outcomes = []
+        for smiles in smiles_list:
+            try:
+                outcomes += self.evaluator([smiles])
+            except ev.EvaluatorUnavailableError as exc:
+                outcomes.append(str(exc))
+        failed = [outcome for outcome in outcomes if isinstance(outcome, str)]
+        if failed:
+            raise ev.EvaluatorUnavailableError(failed[0], outcomes)
+        return outcomes
+
+
+@settings(max_examples=20)
+@given(
+    lead=st.sampled_from(lead_pool(909, 6)),
+    mode=st.sampled_from(("online", "parallel")),
+    seed=st.integers(0, 2**16),
+    tau=st.sampled_from((0.3, 0.5)),
+)
+def test_one_smiles_requests_give_identical_results(lead, mode, seed, tau):
+    def result_line(evaluator):
+        spec = ev.PropertySpec("size", ev.MAXIMIZE, evaluator)
+        config = config_for(mode, property_spec=spec, seed=seed, tau=tau)
+        try:
+            return orc.result_to_line(orc.run_campaign(config, lead))
+        except ev.EvaluatorUnavailableError as exc:  # the lead itself was refused
+            return str(exc)
+
+    batched, single = [], []
+    line = result_line(ev.ExternalEvaluator("size", seeded_transport(seed, batched)))
+    assert line == result_line(
+        OneSmilesPerRequest(ev.ExternalEvaluator("size", seeded_transport(seed, single)))
+    )
+    assert all(len(request) == 1 for request in single)
+    assert len(batched) <= 1 + 2 * 3
+    if line.startswith("{"):
+        # A refused sample fails its own candidate only; every other one keeps its value.
+        for step in json.loads(line)["steps"]:
+            for attempt in step["attempts"]:
+                for check in attempt["candidates"]:
+                    if check["valid"]:
+                        expected = seeded_value(seed, write_smiles(parse_smiles(check["smiles"])))
+                        assert check["value"] == expected
+                        if expected is None:
+                            assert check["failure_kind"] in (tl.EVALUATOR_ERROR, tl.SIMILARITY_VIOLATION)
 
 
 def test_invalid_lead_rejected():
