@@ -23,8 +23,6 @@ from .evaluate import (
 from .fingerprint import (
     Fingerprint,
     InvalidMoleculeError,
-    ShapeMismatchError,
-    meets_constraint,
     morgan_fp,
     tanimoto,
 )
@@ -65,7 +63,6 @@ from .tools import (
     ExternalTool,
     Instruction,
     ToolProfile,
-    ToolResult,
     ToolSpec,
     ToolUnavailableError,
     build_instruction,

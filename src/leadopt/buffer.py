@@ -13,8 +13,9 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
-from .fingerprint import DEFAULT_NBITS, DEFAULT_RADIUS, Fingerprint, morgan_fp, tanimoto
+from .fingerprint import NBITS, RADIUS, Fingerprint, morgan_fp, tanimoto
 from .molgraph import MolGraph, ParseError, parse_smiles
 
 
@@ -72,8 +73,6 @@ def prefix_match(a: TrajectoryRecord, b: TrajectoryRecord, k: int) -> bool:
 
 @dataclass
 class TrajectoryBuffer:
-    fp_radius: int = DEFAULT_RADIUS
-    fp_nbits: int = DEFAULT_NBITS
     _by_property: dict[str, list[TrajectoryRecord]] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -86,11 +85,6 @@ class TrajectoryBuffer:
         return tuple(sorted(self._by_property))
 
     def insert(self, record: TrajectoryRecord) -> None:
-        if record.lead_fp.radius != self.fp_radius or record.lead_fp.nbits != self.fp_nbits:
-            raise SchemaError(
-                f"record fingerprint {record.lead_fp.radius}/{record.lead_fp.nbits} does not"
-                f" match buffer {self.fp_radius}/{self.fp_nbits}"
-            )
         self._by_property.setdefault(record.property_id, []).append(record)
 
     def top1_similar(
@@ -100,7 +94,7 @@ class TrajectoryBuffer:
         records = self._by_property.get(property_id)
         if not records:
             return None
-        query = morgan_fp(mol, self.fp_radius, self.fp_nbits)
+        query = morgan_fp(mol)
         best: TrajectoryRecord | None = None
         best_sim = -1.0
         for record in records:
@@ -119,38 +113,30 @@ class TrajectoryBuffer:
 
     def flush(self, path: str) -> None:
         """Atomically write the buffer as UTF-8 JSON lines."""
-        write_lines_atomic(path, self.dump_lines())
-
-    def dump_lines(self) -> list[str]:
-        lines = []
-        for property_id in sorted(self._by_property):
-            for record in self._by_property[property_id]:
-                lines.append(json.dumps(record_to_dict(record), sort_keys=True))
-        return lines
+        write_lines_atomic(
+            path,
+            [
+                json.dumps(record_to_dict(record), sort_keys=True)
+                for property_id in sorted(self._by_property)
+                for record in self._by_property[property_id]
+            ],
+        )
 
     @classmethod
     def load(cls, path: str, verify: bool = True) -> "TrajectoryBuffer":
         """Read a buffer file; verifies stored fingerprints against leads."""
-        buffer: TrajectoryBuffer | None = None
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = record_from_dict(json.loads(line))
-                    if buffer is None:
-                        buffer = cls(record.lead_fp.radius, record.lead_fp.nbits)
-                    if verify:
-                        recomputed = morgan_fp(
-                            parse_smiles(record.lead), buffer.fp_radius, buffer.fp_nbits
-                        )
-                        if recomputed != record.lead_fp:
-                            raise SchemaError("stored fingerprint does not match lead")
-                    buffer.insert(record)
-                except (json.JSONDecodeError, SchemaError, ParseError) as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        return buffer if buffer is not None else cls()
+        buffer = cls()
+        for lineno, data in read_json_lines(path):
+            try:
+                if isinstance(data, ValueError):
+                    raise SchemaError(str(data))
+                record = record_from_dict(data)
+                if verify and morgan_fp(parse_smiles(record.lead)) != record.lead_fp:
+                    raise SchemaError("stored fingerprint does not match lead")
+                buffer.insert(record)
+            except (SchemaError, ParseError) as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        return buffer
 
 
 def write_lines_atomic(path: str, lines: list[str]) -> None:
@@ -168,12 +154,30 @@ def write_lines_atomic(path: str, lines: list[str]) -> None:
         raise
 
 
+def read_json_lines(path: str) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) for each non-blank line; lines end as in text mode.
+
+    A line that is not UTF-8 or not JSON yields its ValueError as the value.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            value = json.loads(line)
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            value = exc
+        yield lineno, value
+
+
 def record_to_dict(record: TrajectoryRecord) -> dict:
     return {
         "lead": record.lead,
         "lead_fp_hex": record.lead_fp.to_hex(),
-        "fp_radius": record.lead_fp.radius,
-        "fp_nbits": record.lead_fp.nbits,
+        "fp_radius": RADIUS,
+        "fp_nbits": NBITS,
         "property_id": record.property_id,
         "actions": [asdict(action) for action in record.actions],
         "step_outcomes": [asdict(outcome) for outcome in record.step_outcomes],
@@ -186,12 +190,14 @@ def record_from_dict(data: dict) -> TrajectoryRecord:
     try:
         if not isinstance(data["lead"], str):
             raise SchemaError(f"lead must be a SMILES string, got {data['lead']!r:.80}")
-        fingerprint = Fingerprint.from_hex(
-            data["lead_fp_hex"], int(data["fp_nbits"]), int(data["fp_radius"])
-        )
+        shape = (data["fp_radius"], data["fp_nbits"])
+        if shape != (RADIUS, NBITS):
+            raise SchemaError(
+                f"fingerprint radius/nbits {shape[0]!r}/{shape[1]!r}, expected {RADIUS}/{NBITS}"
+            )
         return TrajectoryRecord(
             lead=data["lead"],
-            lead_fp=fingerprint,
+            lead_fp=Fingerprint.from_hex(data["lead_fp_hex"]),
             property_id=data["property_id"],
             actions=tuple(
                 ToolAction(a["tool_id"], int(a["prompt_index"])) for a in data["actions"]

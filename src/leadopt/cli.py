@@ -21,11 +21,14 @@ from . import evaluate as ev
 from . import metrics as mx
 from . import orchestrate as orc
 from . import tools as tl
-from .buffer import SchemaError, TrajectoryBuffer, TrajectoryRecord, write_lines_atomic
+from .buffer import SchemaError, TrajectoryBuffer, TrajectoryRecord, read_json_lines, write_lines_atomic
 from .molgraph import MolGraph, ParseError, canonical_form, parse_smiles
 from .seeds import derive_seed
 
 log = logging.getLogger("leadopt")
+
+# Seconds one endpoint process may take before its request fails.
+ENDPOINT_TIMEOUT_S = 60.0
 
 
 class EmptyDatasetError(ValueError):
@@ -40,27 +43,12 @@ class DatasetEntry:
     reference: str | None = None
 
 
-@dataclass(frozen=True)
-class CampaignManifest:
-    mode: str
-    steps: int
-    tau: float
-    seed: int
-    property_id: str | None
-    dataset: str
-    out: str
-    buffer: str | None = None
-    tools_config: str | None = None
-    evaluators_config: str | None = None
-    jobs: int = 1
-
-
 # ---------------------------------------------------------------------------
 # Wire transports (subprocess pipe endpoints)
 # ---------------------------------------------------------------------------
 
 
-def text_endpoint(argv: list[str], timeout: float = 60.0):
+def text_endpoint(argv: list[str]):
     """One request per process: JSON on stdin, raw text reply on stdout."""
 
     def call(request: dict) -> str:
@@ -69,7 +57,7 @@ def text_endpoint(argv: list[str], timeout: float = 60.0):
             input=json.dumps(request, sort_keys=True),
             capture_output=True,
             text=True,
-            timeout=timeout,
+            timeout=ENDPOINT_TIMEOUT_S,
         )
         if proc.returncode != 0:
             raise RuntimeError(
@@ -80,9 +68,9 @@ def text_endpoint(argv: list[str], timeout: float = 60.0):
     return call
 
 
-def json_endpoint(argv: list[str], timeout: float = 60.0):
+def json_endpoint(argv: list[str]):
     """Like text_endpoint but the reply must be a single JSON document."""
-    raw = text_endpoint(argv, timeout)
+    raw = text_endpoint(argv)
 
     def call(request: dict) -> dict:
         return json.loads(raw(request))
@@ -149,6 +137,10 @@ def load_toolset(path: str | None) -> tuple[tl.ToolSpec, ...]:
             raise orc.ConfigError(f"{path}: malformed tools config ({exc!r})") from exc
     if not specs:
         raise orc.ConfigError("tools config lists no tools")
+    tool_ids = [spec.tool_id for spec in specs]
+    for tool_id in tool_ids:
+        if tool_ids.count(tool_id) > 1:
+            raise orc.ConfigError(f"{path}: duplicate tool_id {tool_id!r}")
     return tuple(specs)
 
 
@@ -178,44 +170,41 @@ def ingest(
     """Load dataset rows; invalid rows are skipped with a diagnostic."""
     entries: list[DatasetEntry] = []
     skipped = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                smiles = row["smiles"]
-                property_id = row["property"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                log.warning("%s:%d: skipping malformed row (%s)", path, lineno, exc)
-                skipped += 1
-                continue
-            if not isinstance(smiles, str) or not isinstance(property_id, str):
-                log.warning(
-                    "%s:%d: skipping malformed row (smiles and property must be strings)",
-                    path, lineno,
-                )
-                skipped += 1
-                continue
-            if property_id not in known_properties:
-                log.warning("%s:%d: unknown property %r", path, lineno, property_id)
-                skipped += 1
-                continue
-            if restrict_property is not None and property_id != restrict_property:
-                log.warning(
-                    "%s:%d: property %r does not match --property %r",
-                    path, lineno, property_id, restrict_property,
-                )
-                skipped += 1
-                continue
-            try:
-                mol = parse_smiles(smiles)
-            except ParseError as exc:
-                log.warning("%s:%d: unparseable SMILES %r (%s)", path, lineno, smiles, exc)
-                skipped += 1
-                continue
-            entries.append(DatasetEntry(smiles, property_id, mol, row.get("reference")))
+    for lineno, row in read_json_lines(path):
+        try:
+            if isinstance(row, ValueError):  # not UTF-8 or not JSON
+                raise row
+            smiles = row["smiles"]
+            property_id = row["property"]
+        except (ValueError, KeyError, TypeError) as exc:
+            log.warning("%s:%d: skipping malformed row (%s)", path, lineno, exc)
+            skipped += 1
+            continue
+        if not isinstance(smiles, str) or not isinstance(property_id, str):
+            log.warning(
+                "%s:%d: skipping malformed row (smiles and property must be strings)",
+                path, lineno,
+            )
+            skipped += 1
+            continue
+        if property_id not in known_properties:
+            log.warning("%s:%d: unknown property %r", path, lineno, property_id)
+            skipped += 1
+            continue
+        if restrict_property is not None and property_id != restrict_property:
+            log.warning(
+                "%s:%d: property %r does not match --property %r",
+                path, lineno, property_id, restrict_property,
+            )
+            skipped += 1
+            continue
+        try:
+            mol = parse_smiles(smiles)
+        except ParseError as exc:
+            log.warning("%s:%d: unparseable SMILES %r (%s)", path, lineno, smiles, exc)
+            skipped += 1
+            continue
+        entries.append(DatasetEntry(smiles, property_id, mol, row.get("reference")))
     return entries, skipped
 
 
@@ -224,33 +213,8 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
-def _campaign_configs(
-    manifest: CampaignManifest,
-    entries: list[DatasetEntry],
-    tool_set: tuple[tl.ToolSpec, ...],
-    registry: dict[str, ev.PropertySpec],
-    buffer: TrajectoryBuffer | None,
-) -> list[tuple[DatasetEntry, orc.RunConfig]]:
-    return [
-        (
-            entry,
-            orc.RunConfig(
-                mode=manifest.mode,
-                tool_set=tool_set,
-                property_spec=registry[entry.property_id],
-                steps=manifest.steps,
-                tau=manifest.tau,
-                seed=derive_seed(manifest.seed, canonical_form(entry.mol)),
-                buffer=buffer,
-                run_id=f"{manifest.mode}-s{manifest.seed}-{index}",
-            ),
-        )
-        for index, entry in enumerate(entries)
-    ]
-
-
 def _run_campaigns(
-    manifest: CampaignManifest,
+    args: argparse.Namespace,
     finish: Callable[[orc.CampaignResult, orc.RunConfig], object],
 ) -> tuple[list[tuple[DatasetEntry, object]], int]:
     """Load the configs and the dataset, then run one campaign per entry.
@@ -260,17 +224,32 @@ def _run_campaigns(
     exception instead, so one lead cannot sink the run. Returns the
     (entry, outcome) pairs in dataset order and the skipped-row count.
     """
-    tool_set = load_toolset(manifest.tools_config)
-    registry = load_property_registry(manifest.evaluators_config)
+    tool_set = load_toolset(args.tools_config)
+    registry = load_property_registry(args.evaluators_config)
     buffer = None
-    if manifest.mode == orc.RETRIEVE:
-        if manifest.buffer is None:
+    if args.mode == orc.RETRIEVE:
+        if args.buffer is None:
             raise orc.ConfigError("retrieve mode requires --buffer")
-        buffer = TrajectoryBuffer.load(manifest.buffer)
-    entries, skipped = ingest(manifest.dataset, set(registry), manifest.property_id)
+        buffer = TrajectoryBuffer.load(args.buffer)
+    entries, skipped = ingest(args.dataset, set(registry), args.property_id)
     if not entries:
-        raise EmptyDatasetError(f"{manifest.dataset}: no usable rows ({skipped} skipped)")
-    configs = _campaign_configs(manifest, entries, tool_set, registry, buffer)
+        raise EmptyDatasetError(f"{args.dataset}: no usable rows ({skipped} skipped)")
+    configs = [
+        (
+            entry,
+            orc.RunConfig(
+                mode=args.mode,
+                tool_set=tool_set,
+                property_spec=registry[entry.property_id],
+                steps=args.steps,
+                tau=args.tau,
+                seed=derive_seed(args.seed, canonical_form(entry.mol)),
+                buffer=buffer,
+                run_id=f"{args.mode}-s{args.seed}-{index}",
+            ),
+        )
+        for index, entry in enumerate(entries)
+    ]
 
     def run_one(pair: tuple[DatasetEntry, orc.RunConfig]) -> tuple[DatasetEntry, object]:
         entry, config = pair
@@ -280,14 +259,14 @@ def _run_campaigns(
             log.error("campaign failed for %s: %s", entry.smiles, exc)
             return entry, exc
 
-    if manifest.jobs > 1:
-        with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             return list(pool.map(run_one, configs)), skipped
     return [run_one(pair) for pair in configs], skipped
 
 
-def run_command(manifest: CampaignManifest) -> int:
-    outcomes, skipped = _run_campaigns(manifest, lambda result, config: orc.result_to_line(result))
+def run_command(args: argparse.Namespace) -> int:
+    outcomes, skipped = _run_campaigns(args, lambda result, config: orc.result_to_line(result))
     lines = [
         json.dumps(
             {"lead": entry.smiles, "property_id": entry.property_id, "error": str(outcome)},
@@ -297,68 +276,60 @@ def run_command(manifest: CampaignManifest) -> int:
         else outcome
         for entry, outcome in outcomes
     ]
-    write_lines_atomic(manifest.out, lines)
-    log.info("wrote %d campaign records to %s (%d rows skipped)", len(lines), manifest.out, skipped)
+    write_lines_atomic(args.out, lines)
+    log.info("wrote %d campaign records to %s (%d rows skipped)", len(lines), args.out, skipped)
     return 0
 
 
-def build_buffer_command(manifest: CampaignManifest) -> int:
+def build_buffer_command(args: argparse.Namespace) -> int:
     """Run parallel-mode campaigns over training leads and store the winners."""
-    outcomes, _ = _run_campaigns(manifest, orc.trajectory_from_campaign)
+    outcomes, _ = _run_campaigns(args, orc.trajectory_from_campaign)
     buffer = TrajectoryBuffer()
     for _, outcome in outcomes:
         # None for a campaign without a storable success, an exception for a failed one.
         if isinstance(outcome, TrajectoryRecord):
             buffer.insert(outcome)
-    buffer.flush(manifest.out)
-    log.info(
-        "stored %d/%d successful trajectories in %s", len(buffer), len(outcomes), manifest.out
-    )
+    buffer.flush(args.out)
+    log.info("stored %d/%d successful trajectories in %s", len(buffer), len(outcomes), args.out)
     return 0
 
 
-def report_command(results_path: str, csv_path: str | None, label: str) -> int:
+def report_command(args: argparse.Namespace) -> int:
     outcomes = []
     errors = 0
-    with open(results_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{results_path}:{lineno}: {exc}") from exc
-            if isinstance(record, dict) and "error" in record:
-                errors += 1
-                continue
-            if not isinstance(record, dict) or "steps" not in record:
-                raise SchemaError(f"{results_path}:{lineno}: not a campaign record")
-            try:
-                outcomes.append(mx.outcome_from_record(record))
-            except (KeyError, TypeError) as exc:
-                raise SchemaError(
-                    f"{results_path}:{lineno}: malformed campaign record ({exc!r})"
-                ) from exc
+    for lineno, record in read_json_lines(args.results):
+        if isinstance(record, ValueError):  # not UTF-8 or not JSON
+            raise SchemaError(f"{args.results}:{lineno}: {record}") from record
+        if isinstance(record, dict) and "error" in record:
+            errors += 1
+            continue
+        if not isinstance(record, dict) or "steps" not in record:
+            raise SchemaError(f"{args.results}:{lineno}: not a campaign record")
+        try:
+            outcomes.append(mx.outcome_from_record(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                f"{args.results}:{lineno}: malformed campaign record ({exc!r})"
+            ) from exc
     if not outcomes:
-        raise EmptyDatasetError(f"{results_path}: no campaign records")
+        raise EmptyDatasetError(f"{args.results}: no campaign records")
     report = mx.compile_report(outcomes)
-    print(mx.render_table(report, label))
+    print(mx.render_table(report, args.label))
     if errors:
         print(f"failed_campaigns={errors}")
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as handle:
+    if args.csv is not None:
+        with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(mx.per_step_csv(report))
-        log.info("wrote per-step series to %s", csv_path)
+        log.info("wrote per-step series to %s", args.csv)
     return 0
 
 
-def validate_dataset_command(path: str, evaluators_config: str | None) -> int:
-    registry = load_property_registry(evaluators_config)
-    entries, skipped = ingest(path, set(registry))
+def validate_dataset_command(args: argparse.Namespace) -> int:
+    registry = load_property_registry(args.evaluators_config)
+    entries, skipped = ingest(args.dataset, set(registry))
     print(f"entries={len(entries)} skipped={skipped}")
     if not entries:
-        raise EmptyDatasetError(f"{path}: no usable rows")
+        raise EmptyDatasetError(f"{args.dataset}: no usable rows")
     return 0
 
 
@@ -367,11 +338,7 @@ def validate_dataset_command(path: str, evaluators_config: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_manifest_args(parser: argparse.ArgumentParser, default_mode: str | None) -> None:
-    if default_mode is None:
-        parser.add_argument(
-            "--mode", choices=orc.MODES, default=orc.ONLINE, help="execution budget policy"
-        )
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=3, help="exploration steps per lead")
     parser.add_argument("--tau", type=float, default=0.5, help="similarity threshold vs the lead")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
@@ -393,52 +360,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run campaigns over a dataset")
-    _add_manifest_args(run_p, default_mode=None)
+    run_p.add_argument(
+        "--mode", choices=orc.MODES, default=orc.ONLINE, help="execution budget policy"
+    )
+    _add_campaign_args(run_p)
+    run_p.set_defaults(handler=run_command)
 
     buf_p = sub.add_parser("build-buffer", help="record winning trajectories from training leads")
-    _add_manifest_args(buf_p, default_mode=orc.PARALLEL)
+    _add_campaign_args(buf_p)
+    buf_p.set_defaults(handler=build_buffer_command, mode=orc.PARALLEL)
 
     rep_p = sub.add_parser("report", help="aggregate metrics from a results file")
     rep_p.add_argument("--results", required=True, help="results file from `run`")
     rep_p.add_argument("--csv", default=None, help="write per-step series here")
     rep_p.add_argument("--label", default="campaign", help="row label for the table")
+    rep_p.set_defaults(handler=report_command)
 
     val_p = sub.add_parser("validate-dataset", help="check a dataset file")
     val_p.add_argument("--dataset", required=True)
     val_p.add_argument("--evaluators-config", default=None)
+    val_p.set_defaults(handler=validate_dataset_command)
 
     return parser
-
-
-def _manifest_from_args(args: argparse.Namespace, mode: str | None = None) -> CampaignManifest:
-    return CampaignManifest(
-        mode=mode if mode is not None else args.mode,
-        steps=args.steps,
-        tau=args.tau,
-        seed=args.seed,
-        property_id=args.property_id,
-        dataset=args.dataset,
-        out=args.out,
-        buffer=args.buffer,
-        tools_config=args.tools_config,
-        evaluators_config=args.evaluators_config,
-        jobs=args.jobs,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return run_command(_manifest_from_args(args))
-        if args.command == "build-buffer":
-            return build_buffer_command(_manifest_from_args(args, mode=orc.PARALLEL))
-        if args.command == "report":
-            return report_command(args.results, args.csv, args.label)
-        if args.command == "validate-dataset":
-            return validate_dataset_command(args.dataset, args.evaluators_config)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except (orc.ConfigError, EmptyDatasetError, SchemaError, OSError) as exc:
         log.error("%s", exc)
         return 2

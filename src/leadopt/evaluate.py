@@ -341,11 +341,7 @@ def evaluate(spec: PropertySpec, mol: MolGraph) -> PropertyValue:
 
 def is_improvement(spec: PropertySpec, new: PropertyValue, ref: PropertyValue) -> bool:
     """Strictly better in the preferred direction."""
-    if new.property_id != ref.property_id:
-        raise PropertyMismatchError(f"{new.property_id} vs {ref.property_id}")
-    if spec.direction == MAXIMIZE:
-        return new.value > ref.value
-    return new.value < ref.value
+    return relative_improvement(spec, ref, new).improved
 
 
 def relative_improvement(

@@ -2,10 +2,12 @@
 
 Each atom seeds a 64-bit identifier from its local invariants; identifiers
 are then iteratively rehashed over sorted (bond order, neighbor identifier)
-lists up to the configured radius, ECFP-style. Environments whose atom/bond
-sets duplicate an already-hashed environment are dropped before folding, so
-popcounts are stable under atom relabeling. The mixing function is fixed so
-fingerprints are bit-identical across platforms.
+lists up to RADIUS and folded into NBITS bits, ECFP4-style (Rogers & Hahn,
+J. Chem. Inf. Model. 50:742, 2010); every fingerprint has this one shape.
+Environments whose atom/bond sets duplicate an already-hashed environment
+are dropped before folding, so popcounts are stable under atom relabeling.
+The mixing function is fixed so fingerprints are bit-identical across
+platforms.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .molgraph import (
     validate,
 )
 
-DEFAULT_RADIUS = 2
-DEFAULT_NBITS = 2048
+RADIUS = 2
+NBITS = 2048
 
 _MASK = (1 << 64) - 1
 _SEED = 0x9E3779B97F4A7C15
@@ -34,10 +36,6 @@ _ATOMIC_NUMBER = {
 
 class InvalidMoleculeError(ValueError):
     """Operation requires a molecule that passes validation."""
-
-
-class ShapeMismatchError(ValueError):
-    """Fingerprints have differing width or radius."""
 
 
 def _mix64(x: int) -> int:
@@ -60,29 +58,23 @@ def _hash_ints(values) -> int:
 @dataclass(frozen=True)
 class Fingerprint:
     bits: int
-    nbits: int
-    radius: int
 
     def __post_init__(self):
-        if self.nbits < 256 or self.nbits & (self.nbits - 1):
-            raise ValueError("nbits must be a power of two >= 256")
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        if self.bits < 0 or self.bits >> self.nbits:
-            raise ValueError("bit field wider than nbits")
+        if self.bits < 0 or self.bits >> NBITS:
+            raise ValueError(f"bit field is not an unsigned {NBITS}-bit value")
 
     def popcount(self) -> int:
         return bin(self.bits).count("1")
 
     def to_hex(self) -> str:
         """Lowercase fixed-width hex of the bitset (persisted form)."""
-        return format(self.bits, f"0{self.nbits // 4}x")
+        return format(self.bits, f"0{NBITS // 4}x")
 
     @classmethod
-    def from_hex(cls, text: str, nbits: int, radius: int) -> "Fingerprint":
-        if len(text) != nbits // 4:
-            raise ValueError(f"expected {nbits // 4} hex digits, got {len(text)}")
-        return cls(int(text, 16), nbits, radius)
+    def from_hex(cls, text: str) -> "Fingerprint":
+        if len(text) != NBITS // 4:
+            raise ValueError(f"expected {NBITS // 4} hex digits, got {len(text)}")
+        return cls(int(text, 16))
 
 
 def _initial_identifiers(mol: MolGraph) -> list[int]:
@@ -104,14 +96,8 @@ def _initial_identifiers(mol: MolGraph) -> list[int]:
     ]
 
 
-def morgan_fp(
-    mol: MolGraph,
-    radius: int = DEFAULT_RADIUS,
-    nbits: int = DEFAULT_NBITS,
-) -> Fingerprint:
+def morgan_fp(mol: MolGraph) -> Fingerprint:
     """Hashed circular fingerprint of a valid molecule."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     report = validate(mol)
     if not report.valid:
         raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
@@ -125,7 +111,7 @@ def morgan_fp(
     env_atoms = [frozenset((i,)) for i in range(len(mol.atoms))]
     env_bonds = [frozenset() for _ in mol.atoms]
 
-    for r in range(1, radius + 1):
+    for r in range(1, RADIUS + 1):
         new_ids = []
         new_env_atoms = []
         new_env_bonds = []
@@ -160,30 +146,14 @@ def morgan_fp(
         if key in seen:
             continue
         seen.add(key)
-        bits |= 1 << (identifier % nbits)
-    return Fingerprint(bits, nbits, radius)
+        bits |= 1 << (identifier % NBITS)
+    return Fingerprint(bits)
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a AND b| / |a OR b|; 0.0 when both fingerprints are empty."""
-    if a.nbits != b.nbits or a.radius != b.radius:
-        raise ShapeMismatchError(
-            f"fingerprint shapes differ: {a.nbits}/{a.radius} vs {b.nbits}/{b.radius}"
-        )
     union = bin(a.bits | b.bits).count("1")
     if union == 0:
         return 0.0
     return bin(a.bits & b.bits).count("1") / union
 
-
-def meets_constraint(
-    mol: MolGraph,
-    reference: MolGraph,
-    tau: float,
-    radius: int = DEFAULT_RADIUS,
-    nbits: int = DEFAULT_NBITS,
-) -> bool:
-    """Whether Tanimoto(mol, reference) clears the similarity threshold."""
-    fp_a = morgan_fp(mol, radius, nbits)
-    fp_b = morgan_fp(reference, radius, nbits)
-    return tanimoto(fp_a, fp_b) >= tau

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 RI_SIM_FLOOR = 0.5  # eligibility threshold for the relative-improvement mean
 
+_NONE = type(None)
+
 
 class EmptyInputError(ValueError):
     """Metric requires at least one sample / generated candidate."""
@@ -50,32 +52,53 @@ class SampleOutcome:
     improved_ignoring_sim: bool  # any valid candidate strictly improved
 
 
+def _field(container: dict, key: str, *types: type) -> object:
+    """container[key] if it is one of types (a bool only where bool is listed)."""
+    value = container[key]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise TypeError(f"{key!r} has the wrong type: {value!r:.80}")
+    return value
+
+
+def _step_index(container: dict, n_steps: int) -> int:
+    index = _field(container, "step_index", int)
+    if not 0 <= index < n_steps:
+        raise ValueError(f"step_index {index} out of range for {n_steps} steps")
+    return index
+
+
 def outcome_from_record(record: dict) -> SampleOutcome:
-    """Distill one serialized campaign record into its metric inputs."""
+    """Distill one serialized campaign record into its metric inputs.
+
+    Raises KeyError, TypeError or ValueError for a field that is missing or
+    whose type or range the record writer never gives it.
+    """
     generated: list[GeneratedCandidate] = []
-    action_stats: list[ActionStat] = []
     improved_any = False
     pending: dict[tuple[int, str, int], dict] = {}
-    for step in record["steps"]:
-        step_index = step["step_index"]
-        for attempt in step["attempts"]:
+    steps = _field(record, "steps", list)
+    for step in steps:
+        step_index = _step_index(step, len(steps))
+        for attempt in _field(step, "attempts", list):
             attempt_passed = False
-            for cand in attempt["candidates"]:
+            for cand in _field(attempt, "candidates", list):
+                valid = _field(cand, "valid", bool)
+                passed = _field(cand, "passed", bool)
                 generated.append(
                     GeneratedCandidate(
-                        smiles=cand["smiles"],
-                        canonical=cand["canonical"],
-                        valid=cand["valid"],
+                        smiles=_field(cand, "smiles", str),
+                        canonical=_field(cand, "canonical", str, _NONE),
+                        valid=valid,
                         step_index=step_index,
-                        passed=cand["passed"],
+                        passed=passed,
                     )
                 )
-                attempt_passed = attempt_passed or cand["passed"]
-                gain = cand["improvement_vs_lead"]
-                if cand["valid"] and gain is not None and gain > 0:
+                attempt_passed = attempt_passed or passed
+                gain = _field(cand, "improvement_vs_lead", int, float, _NONE)
+                if valid and gain is not None and gain > 0:
                     improved_any = True
-            key = (step_index, attempt["tool_id"], attempt["prompt_index"])
-            if not attempt["retry"]:
+            key = (step_index, _field(attempt, "tool_id", str), _field(attempt, "prompt_index", int))
+            if not _field(attempt, "retry", bool):
                 pending[key] = {
                     "step_index": step_index,
                     "first_failed": not attempt_passed,
@@ -87,12 +110,12 @@ def outcome_from_record(record: dict) -> SampleOutcome:
 
     best = record.get("best_seen")
     return SampleOutcome(
-        lead=record["lead"],
+        lead=_field(record, "lead", str),
         succeeded=best is not None,
-        sim=None if best is None else best["sim"],
-        ri=None if best is None else best["relative_improvement"],
-        best_step=None if best is None else best["step_index"],
-        n_steps=len(record["steps"]),
+        sim=None if best is None else _field(best, "sim", int, float),
+        ri=None if best is None else _field(best, "relative_improvement", int, float, _NONE),
+        best_step=None if best is None else _step_index(best, len(steps)),
+        n_steps=len(steps),
         generated=tuple(generated),
         action_stats=tuple(action_stats),
         improved_ignoring_sim=improved_any,

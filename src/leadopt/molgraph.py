@@ -637,7 +637,7 @@ def _resolve_orders(atoms: list[Atom], raw_bonds: list[tuple[int, int, int, str 
     return MolGraph(tuple(atoms), tuple(resolved)) if changed else mol
 
 
-def parse_smiles(text: str, keep_largest_fragment: bool = False) -> MolGraph:
+def parse_smiles(text: str) -> MolGraph:
     """Parse a SMILES string into a validated MolGraph.
 
     Raises SmilesSyntaxError, RingError, FragmentError, KekulizeError, or
@@ -647,15 +647,8 @@ def parse_smiles(text: str, keep_largest_fragment: bool = False) -> MolGraph:
     if not stripped:
         raise SmilesSyntaxError("empty SMILES")
     if "." in stripped:
-        if not keep_largest_fragment:
-            raise FragmentError("multi-fragment SMILES rejected (pass keep_largest_fragment=True)")
-        parts = [p for p in stripped.split(".") if p]
-        if not parts:
-            raise SmilesSyntaxError("empty SMILES")
-        graphs = [_resolve_orders(*_parse_fragment(part)) for part in parts]
-        mol = max(graphs, key=len)
-    else:
-        mol = _resolve_orders(*_parse_fragment(stripped))
+        raise FragmentError("multi-fragment SMILES rejected")
+    mol = _resolve_orders(*_parse_fragment(stripped))
 
     orders, violations = _perceive(mol)
     if orders is None:

@@ -68,6 +68,9 @@ class RunConfig:
             raise ConfigError("tool set must not be empty")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        # A NaN threshold would pass every candidate: sim < nan is always false.
+        if not isinstance(self.tau, (int, float)) or not 0.0 <= self.tau <= 1.0:
+            raise ConfigError(f"tau must be a finite number in [0, 1], got {self.tau!r}")
         if self.mode == RETRIEVE and self.buffer is None:
             raise ConfigError("retrieve mode requires a trajectory buffer")
 
@@ -384,7 +387,7 @@ def _propose(
         config.seed, step_index, action.tool_id, action.prompt_index, int(retry)
     )
     try:
-        return tl.invoke(spec, instruction, mol, seed).candidates
+        return tl.invoke(spec, instruction, mol, seed)
     except tl.ToolUnavailableError as exc:
         log.warning("tool %s unavailable: %s", action.tool_id, exc)
         return []

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import re
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -133,14 +132,6 @@ class Instruction:
             suffix = f" ({case.detail})" if case.detail else ""
             lines.append(f"- {case.smiles}: {label}{suffix}")
         return "\n".join(lines)
-
-
-@dataclass
-class ToolResult:
-    candidates: list[str]
-    tool_id: str
-    latency: float
-    raw_payload: str
 
 
 def default_templates(action_hint: str) -> tuple[str, ...]:
@@ -541,18 +532,11 @@ def extract_candidates(payload: str) -> list[str]:
     return _SMILES_SPAN.findall(payload)
 
 
-def invoke(spec: ToolSpec, instruction: Instruction, mol: MolGraph, seed: int) -> ToolResult:
-    """Run one tool invocation; builtin edits are bit-deterministic per seed."""
-    start = time.perf_counter()
+def invoke(spec: ToolSpec, instruction: Instruction, mol: MolGraph, seed: int) -> list[str]:
+    """One tool invocation's candidate SMILES; builtin edits are bit-deterministic per seed."""
     if isinstance(spec.kind, ToolProfile):
         outcome = simulated_tool_step(spec.kind, mol, instruction, seed)
-        payload = outcome if isinstance(outcome, str) else write_smiles(outcome)
-        return ToolResult(
-            candidates=[payload],
-            tool_id=spec.tool_id,
-            latency=time.perf_counter() - start,
-            raw_payload=payload,
-        )
+        return [outcome if isinstance(outcome, str) else write_smiles(outcome)]
     request = {
         "tool_id": spec.tool_id,
         "smiles": write_smiles(mol),
@@ -564,15 +548,10 @@ def invoke(spec: ToolSpec, instruction: Instruction, mol: MolGraph, seed: int) -
         payload = spec.kind.transport(request)
     except Exception as exc:
         raise ToolUnavailableError(str(exc)) from exc
-    return ToolResult(
-        candidates=extract_candidates(payload),
-        tool_id=spec.tool_id,
-        latency=time.perf_counter() - start,
-        raw_payload=payload if isinstance(payload, str) else repr(payload),
-    )
+    return extract_candidates(payload)
 
 
-def builtin_toolset(flaky_p_fail: float = 0.5) -> tuple[ToolSpec, ...]:
+def builtin_toolset() -> tuple[ToolSpec, ...]:
     """The default four-editor testbed with distinct behavior profiles.
 
     Palettes give each tool molecule-dependent strengths: the swapper talks
@@ -617,7 +596,7 @@ def builtin_toolset(flaky_p_fail: float = 0.5) -> tuple[ToolSpec, ...]:
                 edit_kind="swap",
                 competence=0.55,
                 palette=halogen_palette,
-                p_fail=flaky_p_fail,
+                p_fail=0.5,
             ),
         ),
     )

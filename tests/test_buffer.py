@@ -183,8 +183,6 @@ def test_persistence_round_trip(tmp_path):
     path = tmp_path / "buffer.jsonl"
     buffer.flush(str(path))
     reloaded = TrajectoryBuffer.load(str(path))
-    assert reloaded.fp_radius == buffer.fp_radius
-    assert reloaded.fp_nbits == buffer.fp_nbits
     for property_id in buffer.properties():
         assert reloaded.records(property_id) == buffer.records(property_id)
     # Flushing the reloaded buffer reproduces identical bytes.
@@ -234,7 +232,10 @@ def test_record_dict_round_trip():
     assert record_from_dict(record_to_dict(record)) == record
 
 
-def test_insert_rejects_mismatched_fp_shape():
-    buffer = TrajectoryBuffer(fp_radius=3)
-    with pytest.raises(SchemaError):
-        buffer.insert(make_record("CCO"))  # default radius-2 fingerprint
+@pytest.mark.parametrize("key, value", [("fp_radius", 3), ("fp_nbits", 1024), ("fp_nbits", "2048")])
+def test_load_rejects_other_fp_shape(tmp_path, key, value):
+    record = dict(record_to_dict(make_record("CCO")), **{key: value})
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:1: fingerprint radius/nbits")):
+        TrajectoryBuffer.load(str(path))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -81,6 +82,24 @@ def test_ingest_conservation(tmp_path):
     assert len(entries) + skipped == len(rows)
 
 
+@pytest.mark.parametrize("command", ["run", "validate-dataset"])
+def test_undecodable_dataset_row_is_skipped(tmp_path, command, caplog, capsys):
+    # Line 3 holds a byte that is not UTF-8; the lines before it end in
+    # \r\n and \r, which must count as line ends, as in text mode.
+    good = json.dumps({"smiles": "CCO", "property": "plogp"}).encode()
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(good + b"\r\n" + good + b"\r" + b'{"smiles": "CC\xff", "property": "plogp"}\n')
+    argv = [command, "--dataset", str(path)]
+    if command == "run":
+        argv += ["--steps", "1", "--out", str(tmp_path / "results.jsonl")]
+    assert cli.main(argv) == 0
+    assert f"{path}:3: skipping malformed row" in caplog.text
+    if command == "run":
+        assert len((tmp_path / "results.jsonl").read_text().splitlines()) == 2
+    else:
+        assert "entries=2 skipped=1" in capsys.readouterr().out
+
+
 def test_ingest_property_restriction(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_dataset(
@@ -133,6 +152,12 @@ def test_run_empty_dataset_fails(tmp_path):
     path.write_text("", encoding="utf-8")
     code = cli.main(["run", "--dataset", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_run_rejects_nan_tau(dataset, tmp_path):
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", dataset, "--tau", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_stagnant_lead_still_recorded(tmp_path):
@@ -312,6 +337,72 @@ def test_report_rejects_wrong_shaped_record(tmp_path, record, caplog):
     assert f"{path}:1:" in caplog.text
 
 
+def test_report_rejects_undecodable_line(tmp_path, caplog):
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(b"\xff\n")
+    assert cli.main(["report", "--results", str(path)]) == 2
+    assert f"{path}:1:" in caplog.text
+
+
+def campaign_record():
+    """A one-step campaign record as the result writer lays it out."""
+    candidate = {
+        "smiles": "CCN", "valid": True, "canonical": "CCN", "sim_to_lead": 0.8, "value": 2.0,
+        "improvement_vs_lead": 1.0, "failure_kind": None, "passed": True,
+    }
+    attempt = {"tool_id": "swap", "prompt_index": 0, "retry": False, "candidates": [candidate]}
+    return {
+        "lead": "CCO",
+        "best_seen": {"sim": 0.8, "relative_improvement": 1.0, "step_index": 0},
+        "steps": [{"step_index": 0, "attempts": [attempt]}],
+    }
+
+
+STEP = ("steps", 0)
+ATTEMPT = STEP + ("attempts", 0)
+CANDIDATE = ATTEMPT + ("candidates", 0)
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        pytest.param(("lead",), 5, id="lead-number"),
+        pytest.param(("best_seen", "sim"), "abc", id="sim-text"),
+        pytest.param(("best_seen", "sim"), None, id="sim-null"),
+        pytest.param(("best_seen", "relative_improvement"), "x", id="ri-text"),
+        pytest.param(("best_seen", "step_index"), 0.0, id="best-step-float"),
+        pytest.param(("best_seen", "step_index"), 3, id="best-step-out-of-range"),
+        pytest.param(STEP + ("step_index",), "0", id="step-index-text"),
+        pytest.param(STEP + ("step_index",), -1, id="step-index-negative"),
+        pytest.param(STEP + ("attempts",), {"a": 1}, id="attempts-object"),
+        pytest.param(ATTEMPT + ("retry",), "no", id="retry-text"),
+        pytest.param(ATTEMPT + ("prompt_index",), 0.5, id="prompt-index-float"),
+        pytest.param(ATTEMPT + ("candidates",), "CCN", id="candidates-text"),
+        pytest.param(CANDIDATE + ("valid",), "yes", id="valid-text"),
+        pytest.param(CANDIDATE + ("passed",), 1, id="passed-int"),
+        pytest.param(CANDIDATE + ("canonical",), ["CCN"], id="canonical-list"),
+        pytest.param(CANDIDATE + ("improvement_vs_lead",), "1.0", id="gain-text"),
+        pytest.param(CANDIDATE + ("improvement_vs_lead",), True, id="gain-bool"),
+    ],
+)
+def test_report_rejects_wrongly_typed_value(tmp_path, caplog, keys, value):
+    record = campaign_record()
+    target = record
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert cli.main(["report", "--results", str(path)]) == 2
+    assert f"{path}:1: malformed campaign record" in caplog.text
+
+
+def test_report_reads_the_record_writer_layout(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(campaign_record()) + "\n", encoding="utf-8")
+    assert cli.main(["report", "--results", str(path)]) == 0
+
+
 # -- validate-dataset ---------------------------------------------------------------
 
 
@@ -417,6 +508,16 @@ def test_tools_config_honours_profile_keys(tmp_path):
             id="zero-aggressive_edits",
         ),
         pytest.param(
+            "--tools-config",
+            {
+                "tools": [
+                    {"tool_id": "a", "profile": {"edit_kind": "swap"}},
+                    {"tool_id": "a", "profile": {"edit_kind": "ring"}},
+                ]
+            },
+            id="duplicate-tool_id",
+        ),
+        pytest.param(
             "--evaluators-config",
             {"evaluators": {"size": {"direction": "maximize"}}},
             id="no-evaluator-endpoint",
@@ -444,6 +545,17 @@ def test_retrieve_with_bad_buffer_lead_exits_2(dataset, tmp_path, lead, caplog):
     records = [json.loads(line) for line in buffer_path.read_text().splitlines()]
     records[0]["lead"] = lead
     buffer_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "results.jsonl"
+    code = cli.main(
+        ["run", "--mode", "retrieve", "--dataset", dataset, "--buffer", str(buffer_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert f"{buffer_path}:1:" in caplog.text
+
+
+def test_retrieve_with_undecodable_buffer_line_exits_2(dataset, tmp_path, caplog):
+    buffer_path = tmp_path / "buffer.jsonl"
+    buffer_path.write_bytes(b"\xff\n")
     out = tmp_path / "results.jsonl"
     code = cli.main(
         ["run", "--mode", "retrieve", "--dataset", dataset, "--buffer", str(buffer_path), "--out", str(out)]
@@ -526,3 +638,41 @@ def test_external_tool_and_evaluator_endpoints(tmp_path):
         for attempt in step["attempts"]
     }
     assert all_tools == {"chain-extender"}
+
+
+# -- golden bytes ----------------------------------------------------------------------
+
+GOLDEN_SHA256 = {
+    "buffer": "ae199604c04fa800cef792aef4aad5553b99d7189d64f9cdcf52f564de6ade25",
+    "online": "d477b7425c1d3280dd63f718aac038e135dc7b45517266cd004e29578e06caf1",
+    "parallel": "51eac746cc9fb1da06e2bc3189cb9c55d04f99dc46986efb36f1ac3540b03658",
+    "retrieve": "83f7fcc2071fb26297f4678d6e36d8034c9fcfd3fc4bf46cc73e4b9739751891",
+}
+
+
+def test_golden_bytes(tmp_path):
+    """The first 12 rows of the acceptance criterion-10 dataset give pinned bytes.
+
+    A change of any hash is a change of the result or buffer bytes that the
+    same dataset, config and seed must reproduce.
+    """
+    cycle = ("plogp", "qed", "bbbp", "hia", "mutagenicity")
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(
+        dataset,
+        [
+            {"smiles": canonical_form(lead), "property": cycle[index % len(cycle)]}
+            for index, lead in enumerate(lead_pool(2026, 100)[:12])
+        ],
+    )
+    buffer = tmp_path / "buffer.jsonl"
+    common = ["--dataset", str(dataset), "--seed", "42"]
+    assert cli.main(["build-buffer", *common, "--out", str(buffer)]) == 0
+    for mode in ("online", "parallel", "retrieve"):
+        out = tmp_path / f"{mode}.jsonl"
+        assert cli.main(["run", "--mode", mode, *common, "--buffer", str(buffer), "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from leadopt.fingerprint import (
+    NBITS,
     Fingerprint,
     InvalidMoleculeError,
-    ShapeMismatchError,
-    meets_constraint,
     morgan_fp,
     tanimoto,
 )
@@ -15,25 +14,25 @@ from leadopt.molgraph import Atom, MolGraph, parse_smiles
 from _molbuild import permuted_copy, random_molgraph
 
 
-def bits_fp(bit_positions, nbits=2048, radius=2):
+def bits_fp(bit_positions):
     value = 0
     for position in bit_positions:
         value |= 1 << position
-    return Fingerprint(value, nbits, radius)
+    return Fingerprint(value)
 
 
 def test_single_carbon_popcount():
-    assert morgan_fp(parse_smiles("C"), 2, 2048).popcount() == 1
+    assert morgan_fp(parse_smiles("C")).popcount() == 1
 
 
 def test_ethane_popcount():
     # One radius-0 identifier (both atoms equivalent) plus one radius-1
     # identifier; radius 2 duplicates the radius-1 environment.
-    assert morgan_fp(parse_smiles("CC"), 2, 2048).popcount() == 2
+    assert morgan_fp(parse_smiles("CC")).popcount() == 2
 
 
 def test_benzene_popcount_bounded():
-    assert morgan_fp(parse_smiles("c1ccccc1"), 2, 2048).popcount() <= 3
+    assert morgan_fp(parse_smiles("c1ccccc1")).popcount() <= 3
 
 
 def test_tanimoto_formula():
@@ -48,13 +47,6 @@ def test_tanimoto_identity_and_disjoint():
 
 def test_tanimoto_empty_convention():
     assert tanimoto(bits_fp(set()), bits_fp(set())) == 0.0
-
-
-def test_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        tanimoto(bits_fp({1}, nbits=2048), bits_fp({1}, nbits=1024))
-    with pytest.raises(ShapeMismatchError):
-        tanimoto(bits_fp({1}, radius=2), bits_fp({1}, radius=3))
 
 
 def test_invalid_molecule_rejected():
@@ -84,14 +76,6 @@ def test_isomorphism_invariance():
         assert shuffled == reference
 
 
-def test_radius_monotone_popcount():
-    rng = random.Random(12)
-    for _ in range(50):
-        mol = random_molgraph(rng)
-        popcounts = [morgan_fp(mol, radius).popcount() for radius in range(4)]
-        assert all(a <= b for a, b in zip(popcounts, popcounts[1:]))
-
-
 def test_popcount_positive_for_valid_molecule():
     rng = random.Random(3)
     for _ in range(30):
@@ -103,24 +87,16 @@ def test_hex_round_trip():
     text = fp.to_hex()
     assert len(text) == 2048 // 4
     assert text == text.lower()
-    assert Fingerprint.from_hex(text, 2048, 2) == fp
+    assert Fingerprint.from_hex(text) == fp
     with pytest.raises(ValueError):
-        Fingerprint.from_hex(text[:-1], 2048, 2)
-
-
-def test_meets_constraint():
-    mol = parse_smiles("CCO")
-    assert meets_constraint(mol, mol, 1.0)
-    assert not meets_constraint(parse_smiles("c1ccccc1"), parse_smiles("C"), 0.5)
+        Fingerprint.from_hex(text[:-1])
 
 
 def test_nbits_validation():
     with pytest.raises(ValueError):
-        Fingerprint(0, 100, 2)
+        Fingerprint(-1)
     with pytest.raises(ValueError):
-        Fingerprint(0, 2048, -1)
-    with pytest.raises(ValueError):
-        Fingerprint(1 << 2048, 2048, 2)
+        Fingerprint(1 << NBITS)
 
 
 def test_stereo_excluded_from_invariants():

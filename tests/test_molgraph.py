@@ -54,11 +54,9 @@ def test_unmatched_ring_digit():
         parse_smiles("C1CC")
 
 
-def test_fragment_rejected_and_flag_keeps_largest():
+def test_fragment_rejected():
     with pytest.raises(FragmentError):
         parse_smiles("CCO.C")
-    mol = parse_smiles("CCO.C", keep_largest_fragment=True)
-    assert len(mol.atoms) == 3
 
 
 @pytest.mark.parametrize(
@@ -214,7 +212,8 @@ def test_canonical_form_round_trips_and_ignores_labels(seed):
     rng = random.Random(seed)
     mol = random_molgraph(rng)
     graphs = [mol]
-    for spec in tl.builtin_toolset(flaky_p_fail=0.0):
+    for builtin in tl.builtin_toolset():
+        spec = tl.with_flaky_probability(builtin, 0.0)
         instruction = tl.build_instruction(spec, seed % 6, ev.builtin_property("plogp"))
         graphs.append(tl.simulated_tool_step(spec.kind, mol, instruction, seed))
     for graph in graphs:

@@ -50,6 +50,12 @@ def test_unknown_mode_rejected():
         config_for("offline")
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, 1.5, "0.5"])
+def test_tau_outside_unit_interval_rejected(tau):
+    with pytest.raises(orc.ConfigError, match="tau"):
+        config_for("online", tau=tau)
+
+
 # -- planning ----------------------------------------------------------------
 
 
