@@ -51,7 +51,6 @@ from .molgraph import (
 from .orchestrate import (
     CampaignResult,
     ConfigError,
-    PlanCommand,
     PlannerProtocolError,
     RunConfig,
     StepRecord,

@@ -104,11 +104,17 @@ def _endpoint_argv(entry: dict) -> list[str]:
 
 def _tool_spec(entry: dict) -> tl.ToolSpec:
     tool_id = entry["tool_id"]
+    description = entry.get("description", tool_id)
     templates = entry.get("prompt_templates")
     if templates is None:
         templates = tl.default_templates(entry.get("action_hint", "any edit style"))
-    else:
+    elif isinstance(templates, list):
         templates = tuple(templates)
+    else:
+        raise TypeError(f"prompt_templates must be a list, got {templates!r:.80}")
+    for text in (tool_id, description, *templates):
+        if not isinstance(text, str):
+            raise TypeError(f"tool_id, description and templates must be strings, got {text!r:.80}")
     if entry.get("kind", "builtin") == "builtin":
         profile = entry.get("profile", {})
         fields = {
@@ -121,7 +127,7 @@ def _tool_spec(entry: dict) -> tl.ToolSpec:
         kind = tl.ExternalTool(transport=text_endpoint(_endpoint_argv(entry)))
     return tl.ToolSpec(
         tool_id=tool_id,
-        description=entry.get("description", tool_id),
+        description=description,
         prompt_templates=templates,
         kind=kind,
     )

@@ -49,7 +49,6 @@ class SampleOutcome:
     n_steps: int
     generated: tuple[GeneratedCandidate, ...]
     action_stats: tuple[ActionStat, ...]
-    improved_ignoring_sim: bool  # any valid candidate strictly improved
 
 
 def _field(container: dict, key: str, *types: type) -> object:
@@ -74,7 +73,6 @@ def outcome_from_record(record: dict) -> SampleOutcome:
     whose type or range the record writer never gives it.
     """
     generated: list[GeneratedCandidate] = []
-    improved_any = False
     pending: dict[tuple[int, str, int], dict] = {}
     steps = _field(record, "steps", list)
     for step in steps:
@@ -94,9 +92,7 @@ def outcome_from_record(record: dict) -> SampleOutcome:
                     )
                 )
                 attempt_passed = attempt_passed or passed
-                gain = _field(cand, "improvement_vs_lead", int, float, _NONE)
-                if valid and gain is not None and gain > 0:
-                    improved_any = True
+                _field(cand, "improvement_vs_lead", int, float, _NONE)  # type check only
             key = (step_index, _field(attempt, "tool_id", str), _field(attempt, "prompt_index", int))
             if not _field(attempt, "retry", bool):
                 pending[key] = {
@@ -118,22 +114,14 @@ def outcome_from_record(record: dict) -> SampleOutcome:
         n_steps=len(steps),
         generated=tuple(generated),
         action_stats=tuple(action_stats),
-        improved_ignoring_sim=improved_any,
     )
 
 
-def success_rate(outcomes: list[SampleOutcome], sim_gated: bool = True) -> float:
-    """Share of samples with a valid, constraint-satisfying improvement.
-
-    sim_gated=False drops the similarity gate and counts any sample where a
-    valid candidate strictly improved the property (comparison reading).
-    """
+def success_rate(outcomes: list[SampleOutcome]) -> float:
+    """Share of samples with a valid, constraint-satisfying improvement."""
     if not outcomes:
         raise EmptyInputError("no samples")
-    if sim_gated:
-        wins = sum(1 for o in outcomes if o.succeeded)
-    else:
-        wins = sum(1 for o in outcomes if o.succeeded or o.improved_ignoring_sim)
+    wins = sum(1 for o in outcomes if o.succeeded)
     return 100.0 * wins / len(outcomes)
 
 

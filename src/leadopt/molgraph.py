@@ -7,7 +7,7 @@ digits including ``%nn``. Stereo marks (``@``, ``@@``, ``/``, ``\\``) are
 parsed and kept as opaque tags but ignored by validation, canonicalization,
 and fingerprints. Implicit hydrogens are derived from the valence table and
 never stored as atoms. Isotopes, atom maps, and multi-fragment molecules are
-rejected (a flag keeps the largest fragment instead).
+rejected.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class RingError(ParseError):
 
 
 class FragmentError(ParseError):
-    """Dot-separated multi-fragment input without the keep-largest flag."""
+    """Dot-separated multi-fragment input."""
 
 
 class ValenceError(ParseError):
@@ -136,8 +136,8 @@ class MolGraph:
     """Immutable heavy-atom molecular graph.
 
     Perception results (adjacency, ring membership, the alternating
-    assignment for aromatic bonds, hydrogen counts) are computed lazily and
-    memoized; instances are safe to share across threads.
+    assignment for aromatic bonds, bond-order sums, hydrogen counts) are
+    computed lazily and memoized; instances are safe to share across threads.
     """
 
     atoms: tuple[Atom, ...]
@@ -155,9 +155,6 @@ class MolGraph:
             if bond.pair in seen:
                 raise ValueError(f"duplicate bond {bond.pair}")
             seen.add(bond.pair)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -358,31 +355,35 @@ def _perceive(mol: MolGraph) -> tuple[tuple[int, ...] | None, list[tuple[int, st
     return result
 
 
-def kekule_orders(mol: MolGraph) -> tuple[int, ...]:
-    """Per-bond orders with aromatic bonds resolved; raises KekulizeError."""
-    orders, violations = _perceive(mol)
-    if orders is None:
-        raise KekulizeError(violations[0][2])
-    return orders
+def bond_order_sums(mol: MolGraph) -> tuple[int, ...]:
+    """Per-atom bond-order sum with aromatic bonds resolved.
+
+    Aromatic bonds count as single when no alternating assignment exists.
+    """
+    if "bondsums" in mol._cache:
+        return mol._cache["bondsums"]
+    orders, _ = _perceive(mol)
+    sums = [0] * len(mol.atoms)
+    for bi, bond in enumerate(mol.bonds):
+        order = bond.order
+        if order == AROMATIC:
+            order = orders[bi] if orders is not None else SINGLE
+        sums[bond.a] += order
+        sums[bond.b] += order
+    result = tuple(sums)
+    mol._cache["bondsums"] = result
+    return result
 
 
 def hydrogen_counts(mol: MolGraph) -> tuple[int, ...]:
     """Total hydrogens per atom: explicit where given, else derived."""
     if "hcounts" in mol._cache:
         return mol._cache["hcounts"]
-    orders, _ = _perceive(mol)
-    adj = neighbors(mol)
     counts = []
-    for idx, atom in enumerate(mol.atoms):
+    for atom, bondsum in zip(mol.atoms, bond_order_sums(mol)):
         if atom.explicit_h is not None:
             counts.append(atom.explicit_h)
             continue
-        bondsum = 0
-        for _, bi in adj[idx]:
-            order = mol.bonds[bi].order
-            if order == AROMATIC:
-                order = orders[bi] if orders is not None else SINGLE
-            bondsum += order
         allowed = allowed_valences(atom.element, atom.formal_charge)
         target = min((v for v in allowed if v >= bondsum), default=bondsum)
         counts.append(max(0, target - bondsum))
@@ -394,13 +395,7 @@ def hydrogen_counts(mol: MolGraph) -> tuple[int, ...]:
 def free_valence(mol: MolGraph, idx: int) -> int:
     """How many additional single bonds the atom can accept."""
     atom = mol.atoms[idx]
-    orders, _ = _perceive(mol)
-    bondsum = 0
-    for _, bi in neighbors(mol)[idx]:
-        order = mol.bonds[bi].order
-        if order == AROMATIC:
-            order = orders[bi] if orders is not None else SINGLE
-        bondsum += order
+    bondsum = bond_order_sums(mol)[idx]
     cap = max(allowed_valences(atom.element, atom.formal_charge))
     if atom.explicit_h is not None:
         bondsum += atom.explicit_h
@@ -437,8 +432,7 @@ def _check_validity(mol: MolGraph) -> ValidityReport:
     violations.extend(arom_violations)
 
     if orders is not None:
-        for idx, atom in enumerate(mol.atoms):
-            bondsum = sum(orders[bi] for _, bi in adj[idx])
+        for idx, (atom, bondsum) in enumerate(zip(mol.atoms, bond_order_sums(mol))):
             allowed = allowed_valences(atom.element, atom.formal_charge)
             if atom.explicit_h is None:
                 if bondsum > max(allowed):

@@ -12,13 +12,18 @@ In retrieve mode the buffer is queried each step with the current molecule;
 a hit at or above the threshold adopts that record's action template, which
 is then consumed one action per step until a different record hits (cursor
 reset) or the template runs out (planner takes over).
+
+A campaign's results-file line (result_to_line) is the JSON form of its
+CampaignResult: every field name is a key and nested dataclasses nest the
+same way, so CampaignResult, StepRecord, AttemptRecord, CandidateCheck,
+ChosenCandidate and BestSeen are the one definition of that layout.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Callable
 
@@ -81,11 +86,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class PlanCommand:
-    tool_calls: tuple[ToolAction, ...]
-
-
-@dataclass(frozen=True)
 class CandidateCheck:
     """Outcome of the ordered checks for one generated candidate string."""
 
@@ -101,9 +101,14 @@ class CandidateCheck:
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    action: ToolAction
+    tool_id: str
+    prompt_index: int
     retry: bool
     candidates: tuple[CandidateCheck, ...]
+
+    @property
+    def action(self) -> ToolAction:
+        return ToolAction(self.tool_id, self.prompt_index)
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ class ChosenCandidate:
 class StepRecord:
     step_index: int
     start: str  # canonical SMILES of the step's starting molecule
-    plan: PlanCommand
+    plan: tuple[ToolAction, ...]
     attempts: tuple[AttemptRecord, ...]
     chosen: ChosenCandidate | None
     rescued: bool
@@ -158,7 +163,6 @@ class CampaignState:
     cursor: int = 0
     template_key: tuple | None = None
     history: list[tuple[str, bool]] = field(default_factory=list)
-    invocations: int = 0
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def rule_based_plan(
     mode: str,
     step_index: int,
     history: list[tuple[str, bool]],
-) -> PlanCommand:
+) -> tuple[ToolAction, ...]:
     """Deterministic fallback planner.
 
     Tools are scored by an exponentially weighted success rate over their
@@ -200,9 +204,7 @@ def rule_based_plan(
     """
     prompt_index = step_index % 6
     if mode == PARALLEL:
-        return PlanCommand(
-            tuple(ToolAction(spec.tool_id, prompt_index) for spec in tool_set)
-        )
+        return tuple(ToolAction(spec.tool_id, prompt_index) for spec in tool_set)
     per_tool: dict[str, list[bool]] = {spec.tool_id: [] for spec in tool_set}
     for tool_id, succeeded in history:
         if tool_id in per_tool:
@@ -216,7 +218,7 @@ def rule_based_plan(
         return (-rate, (position - step_index) % n)
 
     best = min(range(n), key=sort_key)
-    return PlanCommand((ToolAction(tool_set[best].tool_id, prompt_index),))
+    return (ToolAction(tool_set[best].tool_id, prompt_index),)
 
 
 def _planner_context(
@@ -245,7 +247,7 @@ def _planner_context(
     }
 
 
-def _parse_planner_reply(reply: str, config: RunConfig) -> PlanCommand:
+def _parse_planner_reply(reply: str, config: RunConfig) -> tuple[ToolAction, ...]:
     try:
         document = json.loads(reply)
     except (TypeError, json.JSONDecodeError) as exc:
@@ -270,10 +272,10 @@ def _parse_planner_reply(reply: str, config: RunConfig) -> PlanCommand:
     if config.mode == PARALLEL:
         if {a.tool_id for a in actions} != known or len(actions) != len(known):
             raise PlannerProtocolError("parallel plan must cover every tool exactly once")
-        return PlanCommand(tuple(actions))
+        return tuple(actions)
     # Online/retrieve replies are ordered sequences; this step consumes the
     # first call.
-    return PlanCommand((actions[0],))
+    return (actions[0],)
 
 
 def plan(
@@ -282,7 +284,7 @@ def plan(
     step_index: int,
     history: list[tuple[str, bool]],
     retrieval_hint: dict | None = None,
-) -> PlanCommand:
+) -> tuple[ToolAction, ...]:
     """One step's tool calls, from the external planner or the builtin rules."""
     if config.planner is not None:
         context = _planner_context(config, mol, step_index, retrieval_hint)
@@ -409,7 +411,9 @@ def _run_phase(
         _check_candidates([smiles for batch in proposals for smiles in batch], config, lead)
     )
     return [
-        AttemptRecord(action=action, retry=retry, candidates=tuple(islice(checks, len(batch))))
+        AttemptRecord(
+            action.tool_id, action.prompt_index, retry, tuple(islice(checks, len(batch)))
+        )
         for (action, _), batch in zip(calls, proposals)
     ]
 
@@ -458,15 +462,15 @@ def run_step(
                 }
 
     if config.mode == RETRIEVE and state.cursor < len(state.template):
-        command = PlanCommand((state.template[state.cursor],))
+        calls = (state.template[state.cursor],)
         state.cursor += 1
     else:
-        command = plan(config, state.molecule, step_index, state.history, retrieval_hint)
+        calls = plan(config, state.molecule, step_index, state.history, retrieval_hint)
 
     # Two phases, each checked with one evaluator request: every planned
     # call, then the retries of those that produced no passing candidate.
     firsts = _run_phase(
-        config, lead, state.molecule, [(a, []) for a in command.tool_calls], step_index, False
+        config, lead, state.molecule, [(a, []) for a in calls], step_index, False
     )
     failed = [a for a in firsts if not _passed(a)] if config.retry else []
     retries = iter(
@@ -479,7 +483,6 @@ def run_step(
             True,
         )
     )
-    state.invocations += len(firsts) + len(failed)
 
     attempts: list[AttemptRecord] = []
     rescued = False
@@ -525,7 +528,7 @@ def run_step(
     return StepRecord(
         step_index=step_index,
         start=start,
-        plan=command,
+        plan=calls,
         attempts=tuple(attempts),
         chosen=chosen,
         rescued=rescued,
@@ -569,7 +572,7 @@ def run_campaign(config: RunConfig, lead_mol: MolGraph) -> CampaignResult:
         initial_value=lead.initial.value,
         steps=tuple(steps),
         best_seen=best,
-        invocation_count=state.invocations,
+        invocation_count=sum(len(record.attempts) for record in steps),
     )
 
 
@@ -581,7 +584,7 @@ def invocation_budget_check(result: CampaignResult, config: RunConfig) -> bool:
         retries = [a for a in record.attempts if a.retry]
         if len(planned) != config.budget:
             return False
-        if len(record.plan.tool_calls) != config.budget:
+        if len(record.plan) != config.budget:
             return False
         retry_actions = [a.action for a in retries]
         if len(retry_actions) != len(set(retry_actions)):
@@ -620,7 +623,7 @@ def _winning_action(record: StepRecord) -> ToolAction:
                 )
     if scored:
         return record.attempts[min(scored)[2]].action
-    return record.attempts[0].action if record.attempts else record.plan.tool_calls[0]
+    return record.attempts[0].action if record.attempts else record.plan[0]
 
 
 def trajectory_from_campaign(
@@ -662,68 +665,10 @@ def trajectory_from_campaign(
 
 
 def result_to_record(result: CampaignResult) -> dict:
-    return {
-        "lead": result.lead,
-        "property_id": result.property_id,
-        "mode": result.mode,
-        "seed": result.seed,
-        "run_id": result.run_id,
-        "initial_value": result.initial_value,
-        "invocation_count": result.invocation_count,
-        "best_seen": None
-        if result.best_seen is None
-        else {
-            "smiles": result.best_seen.smiles,
-            "value": result.best_seen.value,
-            "sim": result.best_seen.sim,
-            "improvement": result.best_seen.improvement,
-            "relative_improvement": result.best_seen.relative_improvement,
-            "step_index": result.best_seen.step_index,
-        },
-        "steps": [
-            {
-                "step_index": record.step_index,
-                "start": record.start,
-                "plan": [
-                    {"tool_id": a.tool_id, "prompt_index": a.prompt_index}
-                    for a in record.plan.tool_calls
-                ],
-                "attempts": [
-                    {
-                        "tool_id": attempt.action.tool_id,
-                        "prompt_index": attempt.action.prompt_index,
-                        "retry": attempt.retry,
-                        "candidates": [
-                            {
-                                "smiles": check.smiles,
-                                "valid": check.valid,
-                                "canonical": check.canonical,
-                                "sim_to_lead": check.sim_to_lead,
-                                "value": check.value,
-                                "improvement_vs_lead": check.improvement_vs_lead,
-                                "failure_kind": check.failure_kind,
-                                "passed": check.passed,
-                            }
-                            for check in attempt.candidates
-                        ],
-                    }
-                    for attempt in record.attempts
-                ],
-                "chosen": None
-                if record.chosen is None
-                else {
-                    "smiles": record.chosen.smiles,
-                    "value": record.chosen.value,
-                    "sim": record.chosen.sim,
-                    "improvement": record.chosen.improvement,
-                    "relative": record.chosen.relative,
-                },
-                "rescued": record.rescued,
-            }
-            for record in result.steps
-        ],
-    }
+    """The JSON document a results line holds: tuples read back as lists."""
+    return json.loads(result_to_line(result))
 
 
 def result_to_line(result: CampaignResult) -> str:
-    return json.dumps(result_to_record(result), sort_keys=True)
+    """One results-file line: the dataclass fields are the keys, nested as they are."""
+    return json.dumps(asdict(result), sort_keys=True)

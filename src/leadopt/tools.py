@@ -24,8 +24,8 @@ from .molgraph import (
     Bond,
     MolGraph,
     allowed_valences,
+    bond_order_sums,
     free_valence,
-    kekule_orders,
     neighbors,
     ring_atom_flags,
     validate,
@@ -322,10 +322,7 @@ def _move_options(
 def _mutate_options(
     mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
 ) -> list[_EditOption]:
-    try:
-        orders = kekule_orders(mol)
-    except Exception:
-        return []
+    sums = bond_order_sums(mol)
     adj = neighbors(mol)
     internal = [
         i for i, atom in enumerate(mol.atoms) if _plain(atom) and len(adj[i]) >= 2
@@ -333,10 +330,7 @@ def _mutate_options(
     pool = internal or [i for i, a in enumerate(mol.atoms) if _plain(a) and adj[i]]
     options = []
     for idx in pool:
-        bondsum = sum(orders[bi] for _, bi in adj[idx])
-        allowed = [
-            e for e in palette if max(allowed_valences(e)) >= bondsum
-        ]
+        allowed = [e for e in palette if max(allowed_valences(e)) >= sums[idx]]
         options.extend(_element_change_options(mol, d, [idx], allowed))
     return options
 

@@ -517,6 +517,26 @@ def test_tools_config_honours_profile_keys(tmp_path):
             },
             id="duplicate-tool_id",
         ),
+        pytest.param("--tools-config", {"tools": [{"tool_id": ["a"]}]}, id="list-tool_id"),
+        pytest.param("--tools-config", {"tools": [{"tool_id": 7}]}, id="numeric-tool_id"),
+        pytest.param(
+            "--tools-config", {"tools": [{"tool_id": "x", "description": 3}]}, id="numeric-description"
+        ),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "prompt_templates": [1, 2, 3, 4, 5, 6]}]},
+            id="numeric-templates",
+        ),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "prompt_templates": ["a", "b", "c", "d", "e", None]}]},
+            id="null-template",
+        ),
+        pytest.param(
+            "--tools-config",
+            {"tools": [{"tool_id": "x", "prompt_templates": "abcdef"}]},
+            id="text-templates",
+        ),
         pytest.param(
             "--evaluators-config",
             {"evaluators": {"size": {"direction": "maximize"}}},

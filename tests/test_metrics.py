@@ -11,7 +11,6 @@ def make_outcome(
     n_steps=3,
     generated=(),
     action_stats=(),
-    improved_ignoring_sim=None,
 ):
     return mx.SampleOutcome(
         lead="CCO",
@@ -22,9 +21,6 @@ def make_outcome(
         n_steps=n_steps,
         generated=tuple(generated),
         action_stats=tuple(action_stats),
-        improved_ignoring_sim=succeeded
-        if improved_ignoring_sim is None
-        else improved_ignoring_sim,
     )
 
 
@@ -51,13 +47,6 @@ def test_success_rate_extremes():
 def test_success_rate_empty_input():
     with pytest.raises(mx.EmptyInputError):
         mx.success_rate([])
-
-
-def test_success_rate_sim_gate_flag():
-    gated_out = make_outcome(succeeded=False, improved_ignoring_sim=True)
-    outcomes = [make_outcome(succeeded=True), gated_out]
-    assert mx.success_rate(outcomes) == pytest.approx(50.0)
-    assert mx.success_rate(outcomes, sim_gated=False) == pytest.approx(100.0)
 
 
 def test_adding_failed_sample_never_increases_sr():
@@ -427,7 +416,6 @@ def test_outcome_from_record():
     assert outcome.best_step == 1
     assert outcome.n_steps == 2
     assert len(outcome.generated) == 3
-    assert outcome.improved_ignoring_sim
     stats = {(s.step_index, s.first_failed, s.rescued) for s in outcome.action_stats}
     assert (0, True, True) in stats
     assert (1, False, False) in stats

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from leadopt import evaluate as ev
 from leadopt import tools as tl
 from leadopt.molgraph import (
+    AROMATIC,
     DOUBLE,
     SINGLE,
     Atom,
@@ -144,6 +145,18 @@ def test_aromatic_hydrogen_counts():
     pyrrole = parse_smiles("c1cc[nH]c1")
     n_index = next(i for i, a in enumerate(pyrrole.atoms) if a.element == "N")
     assert hydrogen_counts(pyrrole)[n_index] == 1
+
+
+def test_bond_orders_count_single_when_kekulization_fails():
+    ring = MolGraph(
+        tuple(Atom("C", aromatic=True) for _ in range(5)),
+        tuple(Bond(i, (i + 1) % 5, AROMATIC) for i in range(5)),
+    )
+    assert any(rule == "kekulize" for _, rule, _ in validate(ring).violations)
+    assert hydrogen_counts(ring) == (2,) * 5
+    assert free_valence(ring, 0) == 2
+    benzene = parse_smiles("c1ccccc1")
+    assert free_valence(benzene, 0) == 1  # one resolved double bond
 
 
 def test_stereo_tags_parsed_and_ignored():

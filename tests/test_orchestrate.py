@@ -60,27 +60,27 @@ def test_tau_outside_unit_interval_rejected(tau):
 
 
 def test_cold_start_round_robin_position_zero():
-    command = orc.rule_based_plan(TOOLSET, "online", 0, [])
-    assert len(command.tool_calls) == 1
-    assert command.tool_calls[0] == ToolAction(TOOLSET[0].tool_id, 0)
+    calls = orc.rule_based_plan(TOOLSET, "online", 0, [])
+    assert len(calls) == 1
+    assert calls[0] == ToolAction(TOOLSET[0].tool_id, 0)
 
 
 def test_round_robin_advances_with_step():
-    command = orc.rule_based_plan(TOOLSET, "online", 1, [])
-    assert command.tool_calls[0].tool_id == TOOLSET[1].tool_id
-    assert command.tool_calls[0].prompt_index == 1
+    calls = orc.rule_based_plan(TOOLSET, "online", 1, [])
+    assert calls[0].tool_id == TOOLSET[1].tool_id
+    assert calls[0].prompt_index == 1
 
 
 def test_parallel_plan_covers_all_tools():
-    command = orc.rule_based_plan(TOOLSET, "parallel", 0, [])
-    assert {a.tool_id for a in command.tool_calls} == {s.tool_id for s in TOOLSET}
-    assert len(command.tool_calls) == len(TOOLSET)
+    calls = orc.rule_based_plan(TOOLSET, "parallel", 0, [])
+    assert {a.tool_id for a in calls} == {s.tool_id for s in TOOLSET}
+    assert len(calls) == len(TOOLSET)
 
 
 def test_history_down_weights_failing_tool():
     history = [("swap", False), ("swap", False), ("mutate", True)]
-    command = orc.rule_based_plan(TOOLSET, "online", 3, history)
-    assert command.tool_calls[0].tool_id != "swap"
+    calls = orc.rule_based_plan(TOOLSET, "online", 3, history)
+    assert calls[0].tool_id != "swap"
 
 
 def test_recent_outcomes_weigh_more():
@@ -93,8 +93,8 @@ def test_recent_outcomes_weigh_more():
 
 def test_template_index_rotates():
     for step in range(8):
-        command = orc.rule_based_plan(TOOLSET, "online", step, [])
-        assert command.tool_calls[0].prompt_index == step % 6
+        calls = orc.rule_based_plan(TOOLSET, "online", step, [])
+        assert calls[0].prompt_index == step % 6
 
 
 def test_external_planner_used_when_valid():
@@ -104,8 +104,8 @@ def test_external_planner_used_when_valid():
         return json.dumps({"tool_calls": [{"tool_name": "ring", "prompt_index": 3}]})
 
     config = config_for("online", planner=planner)
-    command = orc.plan(config, LEAD, 0, [])
-    assert command.tool_calls == (ToolAction("ring", 3),)
+    calls = orc.plan(config, LEAD, 0, [])
+    assert calls == (ToolAction("ring", 3),)
 
 
 def test_external_planner_ordered_sequence_takes_first():
@@ -119,8 +119,8 @@ def test_external_planner_ordered_sequence_takes_first():
             }
         )
 
-    command = orc.plan(config_for("online", planner=planner), LEAD, 0, [])
-    assert command.tool_calls == (ToolAction("mutate", 1),)
+    calls = orc.plan(config_for("online", planner=planner), LEAD, 0, [])
+    assert calls == (ToolAction("mutate", 1),)
 
 
 @pytest.mark.parametrize(
@@ -136,8 +136,8 @@ def test_external_planner_ordered_sequence_takes_first():
 )
 def test_external_planner_fallback_on_bad_reply(reply):
     config = config_for("online", planner=lambda context: reply)
-    command = orc.plan(config, LEAD, 0, [])
-    assert command.tool_calls == (ToolAction(TOOLSET[0].tool_id, 0),)
+    calls = orc.plan(config, LEAD, 0, [])
+    assert calls == (ToolAction(TOOLSET[0].tool_id, 0),)
 
 
 def test_external_planner_parallel_must_cover_all():
@@ -145,16 +145,16 @@ def test_external_planner_parallel_must_cover_all():
         return json.dumps({"tool_calls": [{"tool_name": "swap", "prompt_index": 0}]})
 
     config = config_for("parallel", planner=planner)
-    command = orc.plan(config, LEAD, 0, [])
-    assert len(command.tool_calls) == len(TOOLSET)  # fallback covered all
+    calls = orc.plan(config, LEAD, 0, [])
+    assert len(calls) == len(TOOLSET)  # fallback covered all
 
 
 def test_planner_transport_crash_falls_back():
     def planner(context):
         raise TimeoutError("llm offline")
 
-    command = orc.plan(config_for("online", planner=planner), LEAD, 0, [])
-    assert command.tool_calls == (ToolAction(TOOLSET[0].tool_id, 0),)
+    calls = orc.plan(config_for("online", planner=planner), LEAD, 0, [])
+    assert calls == (ToolAction(TOOLSET[0].tool_id, 0),)
 
 
 # -- campaigns ---------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_online_campaign_shape():
     result = orc.run_campaign(config, LEAD)
     assert result.lead == canonical_form(LEAD)
     assert len(result.steps) == 3
-    assert all(len(step.plan.tool_calls) == 1 for step in result.steps)
+    assert all(len(step.plan) == 1 for step in result.steps)
     assert orc.invocation_budget_check(result, config)
 
 
@@ -469,7 +469,7 @@ def test_retrieve_follows_template_on_hit():
     buffer = buffer_with_template(LEAD, template)
     config = config_for("retrieve", buffer=buffer, steps=3)
     result = orc.run_campaign(config, LEAD)  # identical lead: similarity 1.0
-    executed = [step.plan.tool_calls[0] for step in result.steps]
+    executed = [step.plan[0] for step in result.steps]
     assert executed == template
 
 
@@ -479,7 +479,7 @@ def test_retrieve_falls_back_to_planner_without_hit():
     config = config_for("retrieve", buffer=buffer, steps=2)
     result = orc.run_campaign(config, LEAD)
     # No hit above tau: the rule-based planner provides one call per step.
-    assert result.steps[0].plan.tool_calls[0].prompt_index == 0
+    assert result.steps[0].plan[0].prompt_index == 0
     assert orc.invocation_budget_check(result, config)
 
 
@@ -488,11 +488,11 @@ def test_retrieve_template_exhaustion_hands_over_to_planner():
     buffer = buffer_with_template(LEAD, template)
     config = config_for("retrieve", buffer=buffer, steps=3)
     result = orc.run_campaign(config, LEAD)
-    assert result.steps[0].plan.tool_calls[0] == template[0]
+    assert result.steps[0].plan[0] == template[0]
     # Later steps re-retrieve the same record (cursor not reset) and, with
     # the template consumed, plan fresh.
     for step in result.steps[1:]:
-        assert len(step.plan.tool_calls) == 1
+        assert len(step.plan) == 1
 
 
 def test_retrieve_skips_unknown_tools_in_template():
@@ -500,7 +500,7 @@ def test_retrieve_skips_unknown_tools_in_template():
     buffer = buffer_with_template(LEAD, template)
     config = config_for("retrieve", buffer=buffer, steps=2)
     result = orc.run_campaign(config, LEAD)
-    assert result.steps[0].plan.tool_calls[0] == ToolAction("swap", 4)
+    assert result.steps[0].plan[0] == ToolAction("swap", 4)
 
 
 def test_retrieve_budget_is_single_call_per_step():
@@ -527,6 +527,68 @@ def test_result_record_round_trip_fields():
     assert len(record["steps"]) == 2
     text = orc.result_to_line(result)
     assert json.loads(text) == record
+
+
+PINNED_LINE = (
+    '{"best_seen": {"improvement": 2.0, "relative_improvement": 0.3333333333333333, '
+    '"sim": 0.9230769230769231, "smiles": "CCCCCCCO", "step_index": 0, "value": 8.0}, '
+    '"initial_value": 6.0, "invocation_count": 2, "lead": "CCCCCO", "mode": "online", '
+    '"property_id": "size", "run_id": "pinned", "seed": 5, "steps": [{"attempts": ['
+    '{"candidates": ['
+    '{"canonical": null, "failure_kind": "invalid_structure", "improvement_vs_lead": null, '
+    '"passed": false, "sim_to_lead": null, "smiles": "C1CC", "valid": false, "value": null}, '
+    '{"canonical": "CCCCCCO", "failure_kind": "evaluator_error", "improvement_vs_lead": null, '
+    '"passed": false, "sim_to_lead": 0.9230769230769231, "smiles": "CCCCCCO", "valid": true, '
+    '"value": null}, '
+    '{"canonical": "c(cccc1)c1", "failure_kind": "similarity_violation", '
+    '"improvement_vs_lead": 4.0, "passed": false, "sim_to_lead": 0.0, "smiles": "c1ccccc1", '
+    '"valid": true, "value": 10.0}, '
+    '{"canonical": "CCCCO", "failure_kind": "no_improvement", "improvement_vs_lead": -1.0, '
+    '"passed": false, "sim_to_lead": 0.7692307692307693, "smiles": "CCCCO", "valid": true, '
+    '"value": 5.0}], '
+    '"prompt_index": 0, "retry": false, "tool_id": "scripted"}, '
+    '{"candidates": ['
+    '{"canonical": "CCCCCCCO", "failure_kind": null, "improvement_vs_lead": 2.0, '
+    '"passed": true, "sim_to_lead": 0.9230769230769231, "smiles": "CCCCCCCO", "valid": true, '
+    '"value": 8.0}], '
+    '"prompt_index": 0, "retry": true, "tool_id": "scripted"}], '
+    '"chosen": {"improvement": 2.0, "relative": 0.3333333333333333, '
+    '"sim": 0.9230769230769231, "smiles": "CCCCCCCO", "value": 8.0}, '
+    '"plan": [{"prompt_index": 0, "tool_id": "scripted"}], "rescued": true, '
+    '"start": "CCCCCO", "step_index": 0}]}'
+)
+
+
+def test_result_line_pins_failure_kinds_and_retry():
+    """Every failure kind, a refused sample and a rescuing retry in one line.
+
+    The builtin tools and evaluators of the golden-bytes test never produce
+    an evaluator_error, so this scripted campaign pins that layout.
+    """
+
+    def tool_transport(request):
+        if "Poor earlier candidates" in request["instruction_text"]:
+            return "Try <SMILES>CCCCCCCO</SMILES>."
+        return (
+            "<SMILES>C1CC</SMILES> <SMILES>CCCCCCO</SMILES> "
+            "<SMILES>c1ccccc1</SMILES> <SMILES>CCCCO</SMILES>"
+        )
+
+    def evaluator_transport(request):
+        smiles = request["smiles_list"]
+        errors = [[i, "refused"] for i, s in enumerate(smiles) if s == "CCCCCCO"]
+        return {"values": [float(len(s)) for s in smiles], "errors": errors}
+
+    spec = ev.PropertySpec("size", ev.MAXIMIZE, ev.ExternalEvaluator("size", evaluator_transport))
+    tool = tl.ToolSpec(
+        "scripted", "Scripted editor.", tl.default_templates("scripted"), tl.ExternalTool(tool_transport)
+    )
+    config = orc.RunConfig(
+        mode="online", tool_set=(tool,), property_spec=spec, steps=1, seed=5, run_id="pinned"
+    )
+    result = orc.run_campaign(config, parse_smiles("CCCCCO"))
+    assert orc.result_to_line(result) == PINNED_LINE
+    assert orc.result_to_record(result) == json.loads(PINNED_LINE)
 
 
 def test_trajectory_extraction_matches_steps():
