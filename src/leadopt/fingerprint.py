@@ -4,15 +4,17 @@ Each atom seeds a 64-bit identifier from its local invariants; identifiers
 are then iteratively rehashed over sorted (bond order, neighbor identifier)
 lists up to RADIUS and folded into NBITS bits, ECFP4-style (Rogers & Hahn,
 J. Chem. Inf. Model. 50:742, 2010); every fingerprint has this one shape.
-Environments whose atom/bond sets duplicate an already-hashed environment
-are dropped before folding, so popcounts are stable under atom relabeling.
-The mixing function is fixed so fingerprints are bit-identical across
-platforms.
+Environments whose bond sets duplicate an already-hashed environment are
+dropped before folding, so popcounts are stable under atom relabeling. The
+mixing function is fixed so fingerprints are bit-identical across
+platforms. A molecule's fingerprint is computed once and memoized on it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .molgraph import (
     MolGraph,
@@ -27,6 +29,8 @@ NBITS = 2048
 
 _MASK = (1 << 64) - 1
 _SEED = 0x9E3779B97F4A7C15
+_OFFSET = 0x165667B19E3779F9
+_HEX = re.compile(f"[0-9a-f]{{{NBITS // 4}}}")
 
 _ATOMIC_NUMBER = {
     "B": 5, "C": 6, "N": 7, "O": 8, "F": 9,
@@ -38,21 +42,22 @@ class InvalidMoleculeError(ValueError):
     """Operation requires a molecule that passes validation."""
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK
-    x ^= x >> 31
-    return x
-
-
-def _hash_ints(values) -> int:
+def _hash_ints(values: tuple[int, ...]) -> int:
+    """Fold values into a 64-bit identifier, one splitmix64 finalizer each."""
     acc = _SEED
     for value in values:
-        acc = _mix64(acc ^ ((value + 0x165667B19E3779F9) & _MASK))
+        x = acc ^ ((value + _OFFSET) & _MASK)
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & _MASK
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & _MASK
+        acc = x ^ (x >> 31)
     return acc
+
+
+# Atom invariants and radius-1 neighbourhoods recur across molecules; the
+# bound keeps the memo's memory fixed for the life of the process.
+_hash_recurring = lru_cache(maxsize=4096)(_hash_ints)
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class Fingerprint:
             raise ValueError(f"bit field is not an unsigned {NBITS}-bit value")
 
     def popcount(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def to_hex(self) -> str:
         """Lowercase fixed-width hex of the bitset (persisted form)."""
@@ -72,17 +77,27 @@ class Fingerprint:
 
     @classmethod
     def from_hex(cls, text: str) -> "Fingerprint":
-        if len(text) != NBITS // 4:
-            raise ValueError(f"expected {NBITS // 4} hex digits, got {len(text)}")
+        """Parse the persisted form: exactly NBITS / 4 lowercase hex digits."""
+        if not _HEX.fullmatch(text):
+            raise ValueError(f"expected {NBITS // 4} lowercase hex digits, got {text!r:.40}")
         return cls(int(text, 16))
 
 
-def _initial_identifiers(mol: MolGraph) -> list[int]:
+def morgan_fp(mol: MolGraph) -> Fingerprint:
+    """Hashed circular fingerprint of a valid molecule."""
+    fingerprint = mol._cache.get("fingerprint")
+    if fingerprint is not None:
+        return fingerprint
+    report = validate(mol)
+    if not report.valid:
+        raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
+
+    adj = neighbors(mol)
     hydrogens = hydrogen_counts(mol)
     ring = ring_atom_flags(mol)
-    adj = neighbors(mol)
-    return [
-        _hash_ints(
+    orders = [bond.order for bond in mol.bonds]
+    ids = [
+        _hash_recurring(
             (
                 _ATOMIC_NUMBER[atom.element],
                 len(adj[i]),
@@ -94,66 +109,48 @@ def _initial_identifiers(mol: MolGraph) -> list[int]:
         )
         for i, atom in enumerate(mol.atoms)
     ]
-
-
-def morgan_fp(mol: MolGraph) -> Fingerprint:
-    """Hashed circular fingerprint of a valid molecule."""
-    report = validate(mol)
-    if not report.valid:
-        raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
-
-    adj = neighbors(mol)
-    ids = _initial_identifiers(mol)
-    # (radius, identifier, atom) plus the environment's atom/bond sets.
-    features: list[tuple[int, int, int, frozenset, frozenset]] = [
-        (0, ids[i], i, frozenset((i,)), frozenset()) for i in range(len(mol.atoms))
-    ]
-    env_atoms = [frozenset((i,)) for i in range(len(mol.atoms))]
-    env_bonds = [frozenset() for _ in mol.atoms]
-
-    for r in range(1, RADIUS + 1):
-        new_ids = []
-        new_env_atoms = []
-        new_env_bonds = []
-        for i in range(len(mol.atoms)):
-            pairs = sorted((mol.bonds[bi].order, ids[j]) for j, bi in adj[i])
-            flat = [r, ids[i]]
-            for order, neighbor_id in pairs:
-                flat.append(order)
-                flat.append(neighbor_id)
-            new_ids.append(_hash_ints(flat))
-            atoms_r = set(env_atoms[i])
-            bonds_r = set(env_bonds[i])
-            for j, bi in adj[i]:
-                atoms_r.update(env_atoms[j])
-                bonds_r.update(env_bonds[j])
-                bonds_r.add(bi)
-            new_env_atoms.append(frozenset(atoms_r))
-            new_env_bonds.append(frozenset(bonds_r))
-        ids = new_ids
-        env_atoms = new_env_atoms
-        env_bonds = new_env_bonds
-        features.extend(
-            (r, ids[i], i, env_atoms[i], env_bonds[i]) for i in range(len(mol.atoms))
-        )
-
+    # Radius-0 environments ({i}, no bonds) are all distinct.
     bits = 0
-    seen: set[tuple[frozenset, frozenset]] = set()
-    for _, identifier, _, atoms_set, bonds_set in sorted(
-        features, key=lambda f: (f[0], f[1], f[2])
-    ):
-        key = (atoms_set, bonds_set)
-        if key in seen:
-            continue
-        seen.add(key)
+    for identifier in ids:
         bits |= 1 << (identifier % NBITS)
-    return Fingerprint(bits)
+
+    # An environment's atom set is its bonds' endpoints, or {i} without
+    # bonds, so the bond set alone (an int mask) keys the duplicate check.
+    # A bond-less environment beyond radius 0 repeats its atom's radius-0 one.
+    masks = [0] * len(ids)
+    seen: set[int] = set()
+    for r in range(1, RADIUS + 1):
+        hash_env = _hash_recurring if r == 1 else _hash_ints
+        new_ids = []
+        new_masks = []
+        for i, bonded in enumerate(adj):
+            flat = [r, ids[i]]
+            for pair in sorted([(orders[bi], ids[j]) for j, bi in bonded]):
+                flat += pair
+            new_ids.append(hash_env(tuple(flat)))
+            mask = masks[i]
+            for j, bi in bonded:
+                mask |= masks[j] | (1 << bi)
+            new_masks.append(mask)
+        # Features are taken in (radius, identifier, atom) order; the first
+        # environment with a given bond set sets the bit.
+        first: dict[int, int] = {}
+        for mask, identifier in zip(new_masks, new_ids):
+            if mask and mask not in seen and identifier < first.get(mask, identifier + 1):
+                first[mask] = identifier
+        seen.update(first)
+        for identifier in first.values():
+            bits |= 1 << (identifier % NBITS)
+        ids, masks = new_ids, new_masks
+
+    fingerprint = Fingerprint(bits)
+    mol._cache["fingerprint"] = fingerprint
+    return fingerprint
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a AND b| / |a OR b|; 0.0 when both fingerprints are empty."""
-    union = bin(a.bits | b.bits).count("1")
+    union = (a.bits | b.bits).bit_count()
     if union == 0:
         return 0.0
-    return bin(a.bits & b.bits).count("1") / union
-
+    return (a.bits & b.bits).bit_count() / union

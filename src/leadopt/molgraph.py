@@ -136,8 +136,9 @@ class MolGraph:
     """Immutable heavy-atom molecular graph.
 
     Perception results (adjacency, ring membership, the alternating
-    assignment for aromatic bonds, bond-order sums, hydrogen counts) are
-    computed lazily and memoized; instances are safe to share across threads.
+    assignment for aromatic bonds, bond-order sums, hydrogen counts), the
+    validity report, the canonical form and the fingerprint are computed
+    lazily and memoized; instances are safe to share across threads.
     """
 
     atoms: tuple[Atom, ...]
@@ -227,12 +228,17 @@ def ring_bond_flags(mol: MolGraph) -> tuple[bool, ...]:
 
 
 def ring_atom_flags(mol: MolGraph) -> tuple[bool, ...]:
+    """True for every atom on a ring bond."""
+    if "ring_atoms" in mol._cache:
+        return mol._cache["ring_atoms"]
     flags = [False] * len(mol.atoms)
     for bond, in_ring in zip(mol.bonds, ring_bond_flags(mol)):
         if in_ring:
             flags[bond.a] = True
             flags[bond.b] = True
-    return tuple(flags)
+    result = tuple(flags)
+    mol._cache["ring_atoms"] = result
+    return result
 
 
 def _sigma_valence(mol: MolGraph, idx: int) -> int:

@@ -106,6 +106,13 @@ class ToolSpec:
     def __post_init__(self):
         if len(self.prompt_templates) != 6:
             raise ValueError("exactly six prompt templates required")
+        for template in self.prompt_templates:
+            try:
+                template.format(goal="")
+            except (KeyError, IndexError, ValueError, AttributeError) as exc:
+                raise ValueError(
+                    f"prompt template {template!r:.80} must use only the {{goal}} placeholder ({exc!r})"
+                ) from exc
 
 
 @dataclass(frozen=True)

@@ -232,3 +232,21 @@ def lead_pool(seed: int, count: int) -> list[MolGraph]:
             seen.add(key)
             leads.append(mol)
     return leads
+
+
+def loose_hex_spellings(text: str) -> dict[str, str]:
+    """Forms that ``int(text, 16)`` reads as the same value, none of them canonical.
+
+    ``text`` must start with "00" so that a prefix can stand in for the
+    leading zeros without changing the value.
+    """
+    assert text.startswith("00") and any(c in "abcdef" for c in text)
+    return {
+        "0x-prefix": "0x" + text[2:],
+        "plus-sign": "+" + text[1:],
+        "underscore": "0_" + text[2:],
+        "uppercase": text.upper(),
+        "leading-space": " " + text[1:],
+        "trailing-newline": text[1:] + "\n",
+        "non-ascii-digit": "\u0660" + text[1:],
+    }

@@ -17,7 +17,7 @@ from leadopt.buffer import (
 from leadopt.fingerprint import morgan_fp, tanimoto
 from leadopt.molgraph import canonical_form, parse_smiles
 
-from _molbuild import lead_pool, perturb
+from _molbuild import lead_pool, loose_hex_spellings, perturb
 
 
 def make_record(smiles, property_id="plogp", actions=None, ri=0.5, run_id="r0"):
@@ -238,4 +238,36 @@ def test_load_rejects_other_fp_shape(tmp_path, key, value):
     path = tmp_path / "buffer.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: fingerprint radius/nbits")):
+        TrajectoryBuffer.load(str(path))
+
+
+# Ibuprofen's fingerprint starts with "00" and has a-f digits, so every loose
+# spelling of it parses to the same bits with int(text, 16).
+LOOSE_LEAD = "CC(C)Cc1ccc(C(C)C(=O)O)cc1"
+
+
+@pytest.mark.parametrize("form", sorted(loose_hex_spellings(make_record(LOOSE_LEAD).lead_fp.to_hex())))
+def test_load_rejects_loose_fingerprint_spelling_naming_line(tmp_path, form):
+    good = record_to_dict(make_record("CCO"))
+    loose = record_to_dict(make_record(LOOSE_LEAD))
+    loose["lead_fp_hex"] = loose_hex_spellings(loose["lead_fp_hex"])[form]
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(loose) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ") + ".*lowercase hex digits"):
+        TrajectoryBuffer.load(str(path))
+
+
+def test_load_recomputes_fingerprint_already_computed_in_process(tmp_path):
+    record = make_record(LOOSE_LEAD)
+    data = record_to_dict(record)
+    digits = data["lead_fp_hex"]
+    position = len(digits) - 1
+    data["lead_fp_hex"] = digits[:position] + format(int(digits[position], 16) ^ 1, "x")
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    # The same lead's fingerprint is memoized on these molecules; load must
+    # still parse the stored lead afresh and compare.
+    assert morgan_fp(parse_smiles(record.lead)) == record.lead_fp
+    assert morgan_fp(parse_smiles(LOOSE_LEAD)) == record.lead_fp
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:1: stored fingerprint")):
         TrajectoryBuffer.load(str(path))

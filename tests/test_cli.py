@@ -537,6 +537,19 @@ def test_tools_config_honours_profile_keys(tmp_path):
             {"tools": [{"tool_id": "x", "prompt_templates": "abcdef"}]},
             id="text-templates",
         ),
+        *(
+            pytest.param(
+                "--tools-config",
+                {"tools": [{"tool_id": "x", "prompt_templates": [template, "b", "c", "d", "e", "f"]}]},
+                id=f"template-{name}",
+            )
+            for template, name in (
+                ("{x}", "unknown-name"),
+                ("{}", "positional"),
+                ("{", "unbalanced-brace"),
+                ("{goal.x}", "goal-attribute"),
+            )
+        ),
         pytest.param(
             "--evaluators-config",
             {"evaluators": {"size": {"direction": "maximize"}}},
