@@ -22,7 +22,6 @@ from .evaluate import (
 )
 from .fingerprint import (
     Fingerprint,
-    InvalidMoleculeError,
     morgan_fp,
     tanimoto,
 )
@@ -36,6 +35,7 @@ from .molgraph import (
     Atom,
     Bond,
     FragmentError,
+    InvalidMoleculeError,
     KekulizeError,
     MolGraph,
     ParseError,

@@ -10,6 +10,7 @@ line-delimited JSON, written atomically (write-new-then-rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -157,7 +158,8 @@ def write_lines_atomic(path: str, lines: list[str]) -> None:
 def read_json_lines(path: str) -> Iterator[tuple[int, object]]:
     """(line number, JSON value) for each non-blank line; lines end as in text mode.
 
-    A line that is not UTF-8 or not JSON yields its ValueError as the value.
+    A line that is not UTF-8 or not JSON, or nests deeper than the decoder
+    can recurse, yields a ValueError as the value.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -169,6 +171,8 @@ def read_json_lines(path: str) -> Iterator[tuple[int, object]]:
             value = json.loads(line)
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             value = exc
+        except RecursionError:
+            value = ValueError("JSON nested too deeply")
         yield lineno, value
 
 
@@ -186,30 +190,42 @@ def record_to_dict(record: TrajectoryRecord) -> dict:
     }
 
 
+def _field(container: dict, key: str, *types: type) -> object:
+    """container[key] if it is one of types, not a bool, and finite if a number."""
+    value = container[key]
+    if isinstance(value, types) and not isinstance(value, bool):
+        if isinstance(value, str) or math.isfinite(value):
+            return value
+    raise SchemaError(f"{key} has the wrong type or value: {value!r:.80}")
+
+
 def record_from_dict(data: dict) -> TrajectoryRecord:
     try:
-        if not isinstance(data["lead"], str):
-            raise SchemaError(f"lead must be a SMILES string, got {data['lead']!r:.80}")
         shape = (data["fp_radius"], data["fp_nbits"])
         if shape != (RADIUS, NBITS):
             raise SchemaError(
                 f"fingerprint radius/nbits {shape[0]!r}/{shape[1]!r}, expected {RADIUS}/{NBITS}"
             )
         return TrajectoryRecord(
-            lead=data["lead"],
+            lead=_field(data, "lead", str),
             lead_fp=Fingerprint.from_hex(data["lead_fp_hex"]),
-            property_id=data["property_id"],
+            property_id=_field(data, "property_id", str),
             actions=tuple(
-                ToolAction(a["tool_id"], int(a["prompt_index"])) for a in data["actions"]
+                ToolAction(_field(a, "tool_id", str), _field(a, "prompt_index", int))
+                for a in data["actions"]
             ),
             step_outcomes=tuple(
-                StepOutcome(o["smiles"], float(o["value"]), float(o["sim"]))
+                StepOutcome(
+                    _field(o, "smiles", str),
+                    float(_field(o, "value", int, float)),
+                    float(_field(o, "sim", int, float)),
+                )
                 for o in data["step_outcomes"]
             ),
-            final_relative_improvement=float(data["final_ri"]),
-            run_id=data["run_id"],
+            final_relative_improvement=float(_field(data, "final_ri", int, float)),
+            run_id=_field(data, "run_id", str),
         )
     except SchemaError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc

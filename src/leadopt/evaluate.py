@@ -18,6 +18,7 @@ from typing import Callable
 
 from .molgraph import (
     Atom,
+    InvalidMoleculeError,
     MolGraph,
     aromatic_ring_count,
     largest_ring_size,
@@ -305,8 +306,6 @@ def evaluate_batch(
     for mol in mols:
         report = validate(mol)
         if not report.valid:
-            from .fingerprint import InvalidMoleculeError
-
             raise InvalidMoleculeError(f"invalid molecule: {report.violations[0][2]}")
     if spec.evaluator == "builtin":
         if spec.id not in BUILTIN_SURROGATES:

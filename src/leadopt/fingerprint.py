@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .molgraph import (
+    InvalidMoleculeError,
     MolGraph,
     hydrogen_counts,
     neighbors,
@@ -36,10 +37,6 @@ _ATOMIC_NUMBER = {
     "B": 5, "C": 6, "N": 7, "O": 8, "F": 9,
     "P": 15, "S": 16, "Cl": 17, "Br": 35, "I": 53,
 }
-
-
-class InvalidMoleculeError(ValueError):
-    """Operation requires a molecule that passes validation."""
 
 
 def _hash_ints(values: tuple[int, ...]) -> int:

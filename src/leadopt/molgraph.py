@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 
 # Bond order codes. AROMATIC marks bonds inside perceived aromatic rings;
-# validation resolves them to an alternating single/double assignment.
+# validation checks that an alternating single/double assignment exists.
 SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, 4
 
 ORGANIC_ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
@@ -52,7 +52,6 @@ CHARGED_VALENCE = {
 }
 
 _BOND_FOR_SYMBOL = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
-_SYMBOL_FOR_BOND = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 
 _BRACKET_RE = re.compile(
     r"^(?P<isotope>\d+)?(?P<symbol>Cl|Br|[BCNOPSFI]|[bcnops])"
@@ -83,6 +82,10 @@ class ValenceError(ParseError):
 
 class KekulizeError(ParseError):
     """Aromatic subgraph admits no alternating single/double assignment."""
+
+
+class InvalidMoleculeError(ValueError):
+    """Operation requires a molecule that passes validation."""
 
 
 def allowed_valences(element: str, charge: int = 0) -> tuple[int, ...]:
@@ -135,8 +138,8 @@ class Bond:
 class MolGraph:
     """Immutable heavy-atom molecular graph.
 
-    Perception results (adjacency, ring membership, the alternating
-    assignment for aromatic bonds, bond-order sums, hydrogen counts), the
+    Perception results (adjacency, ring membership, the aromatic atoms that
+    take a double bond, bond-order sums, hydrogen counts), the
     validity report, the canonical form and the fingerprint are computed
     lazily and memoized; instances are safe to share across threads.
     """
@@ -275,60 +278,74 @@ def _pi_need(mol: MolGraph, idx: int) -> int:
     return 0  # O, S
 
 
-def _kekule_assignment(mol: MolGraph) -> tuple[int, ...] | None:
-    """Match pi-needing aromatic atoms pairwise along aromatic bonds.
+def _pi_atoms(mol: MolGraph) -> frozenset[int] | None:
+    """Aromatic atoms that take one double bond, or None when they cannot.
 
-    Returns per-bond orders with every aromatic bond resolved to single or
-    double, or None when no perfect matching exists.
+    Each needs a partner across one aromatic bond: a perfect matching, which
+    exists iff each atom still unmatched in turn has an augmenting path.
     """
-    need = {
-        i
-        for i, atom in enumerate(mol.atoms)
-        if atom.aromatic and _pi_need(mol, i) == 1
-    }
-    arom_adj: dict[int, list[tuple[int, int]]] = {i: [] for i in need}
-    for bi, bond in enumerate(mol.bonds):
-        if bond.order == AROMATIC and bond.a in need and bond.b in need:
-            arom_adj[bond.a].append((bond.b, bi))
-            arom_adj[bond.b].append((bond.a, bi))
+    need = [i for i, atom in enumerate(mol.atoms) if atom.aromatic and _pi_need(mol, i) == 1]
+    slot = {atom: k for k, atom in enumerate(need)}
+    adj: list[list[int]] = [[] for _ in need]
+    for bond in mol.bonds:
+        if bond.order == AROMATIC and bond.a in slot and bond.b in slot:
+            adj[slot[bond.a]].append(slot[bond.b])
+            adj[slot[bond.b]].append(slot[bond.a])
+    match = [-1] * len(need)
+    if all(match[root] >= 0 or _augment(adj, match, root) for root in range(len(need))):
+        return frozenset(need)
+    return None
 
-    matched_bond: dict[int, int] = {}
 
-    def backtrack(pending: list[int]) -> bool:
-        while pending and pending[-1] in matched_bond:
-            pending.pop()
-        if not pending:
-            return True
-        atom = pending[-1]
-        for other, bi in arom_adj[atom]:
-            if other in matched_bond:
+def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
+    """Grow one alternating tree from root and flip a path to a free atom, if any.
+
+    Edmonds, "Paths, trees, and flowers" (1965), breadth-first from an
+    explicit queue of outer atoms. An edge between two outer atoms closes an
+    odd cycle (a blossom), shrunk by pointing its atoms' base at the cycle's
+    top; its inner atoms turn outer and join the queue.
+    """
+    base, parent, queue, outer = list(range(len(adj))), [-1] * len(adj), [root], {root}
+    for v in queue:
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
                 continue
-            matched_bond[atom] = bi
-            matched_bond[other] = bi
-            if backtrack(list(pending)):
-                return True
-            del matched_bond[atom]
-            del matched_bond[other]
-        return False
+            if to in outer:
+                top, above = base[v], {base[v]}  # bases from v up to the root
+                while match[top] >= 0:
+                    top = base[parent[match[top]]]
+                    above.add(top)
+                top = base[to]
+                while top not in above:
+                    top = base[parent[match[top]]]
+                blossom = set()
+                for x, y in ((v, to), (to, v)):
+                    while base[x] != top:
+                        blossom.update((base[x], base[match[x]]))
+                        parent[x], y = y, match[x]
+                        x = parent[y]
+                for i in range(len(adj)):
+                    if base[i] in blossom:
+                        base[i] = top
+                        if i not in outer:
+                            outer.add(i)
+                            queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                if match[to] < 0:
+                    while to >= 0:
+                        v = parent[to]
+                        match[v], match[to], to = to, v, match[v]
+                    return True
+                outer.add(match[to])
+                queue.append(match[to])
+    return False
 
-    # Most-constrained atoms (fewest partners) are matched first, i.e. go
-    # last in the worklist.
-    if not backtrack(sorted(need, key=lambda i: -len(arom_adj[i]))):
-        return None
-    double_bonds = set(matched_bond.values())
-    orders = []
-    for bi, bond in enumerate(mol.bonds):
-        if bond.order == AROMATIC:
-            orders.append(DOUBLE if bi in double_bonds else SINGLE)
-        else:
-            orders.append(bond.order)
-    return tuple(orders)
 
-
-def _perceive(mol: MolGraph) -> tuple[tuple[int, ...] | None, list[tuple[int, str, str]]]:
-    """Resolve aromatic bonds; returns (kekule orders, violations)."""
-    if "kekule" in mol._cache:
-        return mol._cache["kekule"]
+def _perceive(mol: MolGraph) -> tuple[frozenset[int] | None, list[tuple[int, str, str]]]:
+    """Check aromatic bonds; returns (pi atoms, violations), pi atoms None on any violation."""
+    if "pi" in mol._cache:
+        return mol._cache["pi"]
     violations: list[tuple[int, str, str]] = []
     ring_bonds = ring_bond_flags(mol)
     arom_core: dict[int, int] = {}
@@ -345,37 +362,31 @@ def _perceive(mol: MolGraph) -> tuple[tuple[int, ...] | None, list[tuple[int, st
     for idx, atom in enumerate(mol.atoms):
         if atom.aromatic and arom_core.get(idx, 0) < 2:
             violations.append((idx, "aromatic", "aromatic atom outside an aromatic ring"))
-    if violations:
-        result = (None, violations)
-    else:
-        orders = _kekule_assignment(mol)
-        if orders is None:
-            bad = [i for i, a in enumerate(mol.atoms) if a.aromatic]
-            result = (
-                None,
-                [(bad[0] if bad else -1, "kekulize", "no alternating bond assignment for aromatic system")],
-            )
-        else:
-            result = (orders, [])
-    mol._cache["kekule"] = result
-    return result
+    pi = None if violations else _pi_atoms(mol)
+    if not violations and pi is None:
+        first = next(i for i, atom in enumerate(mol.atoms) if atom.aromatic)
+        violations.append((first, "kekulize", "no alternating bond assignment for aromatic system"))
+    mol._cache["pi"] = (pi, violations)
+    return pi, violations
 
 
 def bond_order_sums(mol: MolGraph) -> tuple[int, ...]:
     """Per-atom bond-order sum with aromatic bonds resolved.
 
-    Aromatic bonds count as single when no alternating assignment exists.
+    Any alternating assignment gives each pi atom one double bond, so an
+    aromatic bond counts 1 and each pi atom 1 more; with no assignment,
+    aromatic bonds count as single.
     """
     if "bondsums" in mol._cache:
         return mol._cache["bondsums"]
-    orders, _ = _perceive(mol)
+    pi, _ = _perceive(mol)
     sums = [0] * len(mol.atoms)
-    for bi, bond in enumerate(mol.bonds):
-        order = bond.order
-        if order == AROMATIC:
-            order = orders[bi] if orders is not None else SINGLE
+    for bond in mol.bonds:
+        order = SINGLE if bond.order == AROMATIC else bond.order
         sums[bond.a] += order
         sums[bond.b] += order
+    for idx in pi or ():
+        sums[idx] += 1
     result = tuple(sums)
     mol._cache["bondsums"] = result
     return result
@@ -434,10 +445,10 @@ def _check_validity(mol: MolGraph) -> ValidityReport:
             violations.append((idx, "disconnected", "atom unreachable from atom 0"))
             break
 
-    orders, arom_violations = _perceive(mol)
+    pi, arom_violations = _perceive(mol)
     violations.extend(arom_violations)
 
-    if orders is not None:
+    if pi is not None:
         for idx, (atom, bondsum) in enumerate(zip(mol.atoms, bond_order_sums(mol))):
             allowed = allowed_valences(atom.element, atom.formal_charge)
             if atom.explicit_h is None:
@@ -648,14 +659,16 @@ def parse_smiles(text: str) -> MolGraph:
         raise SmilesSyntaxError("empty SMILES")
     if "." in stripped:
         raise FragmentError("multi-fragment SMILES rejected")
-    mol = _resolve_orders(*_parse_fragment(stripped))
+    atoms, bonds = _parse_fragment(stripped)
+    if len(bonds) - len(atoms) + 1 > 99:
+        raise RingError(f"{len(bonds) - len(atoms) + 1} ring closures, at most 99 can be written")
+    mol = _resolve_orders(atoms, bonds)
 
-    orders, violations = _perceive(mol)
-    if orders is None:
-        raise KekulizeError(violations[0][2])
     report = validate(mol)
     if not report.valid:
-        idx, _, message = report.violations[0]
+        idx, rule, message = report.violations[0]
+        if rule in ("aromatic", "kekulize"):
+            raise KekulizeError(message)
         raise ValenceError(f"atom {idx}: {message}")
     return mol
 

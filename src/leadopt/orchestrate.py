@@ -250,7 +250,7 @@ def _planner_context(
 def _parse_planner_reply(reply: str, config: RunConfig) -> tuple[ToolAction, ...]:
     try:
         document = json.loads(reply)
-    except (TypeError, json.JSONDecodeError) as exc:
+    except (TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise PlannerProtocolError(f"reply is not a JSON document: {exc}") from exc
     if not isinstance(document, dict) or "tool_calls" not in document:
         raise PlannerProtocolError("reply lacks a tool_calls list")
@@ -264,9 +264,9 @@ def _parse_planner_reply(reply: str, config: RunConfig) -> tuple[ToolAction, ...
             raise PlannerProtocolError("tool call entries must be objects")
         name = call.get("tool_name")
         index = call.get("prompt_index")
-        if name not in known:
+        if not isinstance(name, str) or name not in known:
             raise PlannerProtocolError(f"unknown tool {name!r}")
-        if not isinstance(index, int) or not 0 <= index <= 5:
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index <= 5:
             raise PlannerProtocolError(f"bad prompt_index {index!r}")
         actions.append(ToolAction(name, index))
     if config.mode == PARALLEL:

@@ -37,8 +37,6 @@ SIMILARITY_VIOLATION = "similarity_violation"
 NO_IMPROVEMENT = "no_improvement"
 EVALUATOR_ERROR = "evaluator_error"
 
-FAILURE_KINDS = (INVALID_STRUCTURE, SIMILARITY_VIOLATION, NO_IMPROVEMENT, EVALUATOR_ERROR)
-
 FAILURE_LABELS = {
     INVALID_STRUCTURE: "invalid SMILES",
     SIMILARITY_VIOLATION: "similarity constraint violated",

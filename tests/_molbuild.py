@@ -160,6 +160,72 @@ def random_molgraph(rng: random.Random, n_min: int = 5, n_max: int = 24) -> MolG
     return mol
 
 
+# Aromatic atoms as the SMILES subset writes them: c and n take a double
+# bond in a ring; [nH], o and s give a lone pair instead.
+PI_ATOMS = (Atom("C", aromatic=True),) * 4 + (Atom("N", aromatic=True),)
+LONE_PAIR_ATOMS = (
+    Atom("N", aromatic=True, explicit_h=1),
+    Atom("O", aromatic=True),
+    Atom("S", aromatic=True),
+)
+
+
+def aromatic_system(
+    rng: random.Random, rings: int, flaws: bool = True, sizes=(5, 6, 6, 6, 7), spoil: float = 0.1
+) -> MolGraph:
+    """Aromatic rings of the given sizes, fused on a shared carbon pair or linked at a carbon.
+
+    An odd number of new ring atoms gets one lone-pair atom, as in pyrrole
+    or indole; an even number gets one with probability ``spoil``, which
+    leaves an odd number of pi atoms. With ``flaws``, a few graphs
+    also get exocyclic =O or methyl groups, a non-aromatic ring carbon or an
+    aromatic link bond, so that every violation rule is reached.
+    """
+    atoms: list[Atom] = []
+    bonds: dict[tuple[int, int], int] = {}
+    degree: list[int] = []
+
+    def bond(a: int, b: int, order: int) -> None:
+        bonds[(min(a, b), max(a, b))] = order
+        degree[a] += 1
+        degree[b] += 1
+
+    def new_atoms(count: int) -> list[int]:
+        kinds = [rng.choice(PI_ATOMS) for _ in range(count)]
+        if count % 2 or rng.random() < spoil:
+            kinds[rng.randrange(count)] = rng.choice(LONE_PAIR_ATOMS)
+        atoms.extend(kinds)
+        degree.extend([0] * count)
+        return list(range(len(atoms) - count, len(atoms)))
+
+    for ring in range(rings):
+        size = rng.choice(sizes)
+        carbons = [i for i in range(len(atoms)) if atoms[i] == PI_ATOMS[0] and degree[i] < 3]
+        fusable = sorted(pair for pair, order in bonds.items() if order == AROMATIC and set(pair) <= set(carbons))
+        if fusable and rng.random() < 0.6:
+            a, b = rng.choice(fusable)
+            cycle = [a] + new_atoms(size - 2) + [b]
+        else:
+            cycle = new_atoms(size)
+            if ring:
+                anchor = rng.choice(carbons or [0])
+                link = AROMATIC if flaws and rng.random() < 0.05 else SINGLE
+                bond(anchor, next((i for i in cycle if atoms[i] == PI_ATOMS[0]), cycle[0]), link)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if (min(a, b), max(a, b)) not in bonds:
+                bond(a, b, AROMATIC)
+    if flaws:
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            site = rng.randrange(len(atoms))
+            order = rng.choice((SINGLE, DOUBLE))
+            atoms.append(Atom("O" if order == DOUBLE else "C"))
+            degree.append(0)
+            bond(site, len(atoms) - 1, order)
+        if rng.random() < 0.05:
+            atoms[0] = Atom("C")
+    return MolGraph(tuple(atoms), tuple(Bond(a, b, order) for (a, b), order in sorted(bonds.items())))
+
+
 def permuted_copy(mol: MolGraph, rng: random.Random) -> MolGraph:
     """The same graph under a random atom relabeling."""
     perm = list(range(len(mol.atoms)))

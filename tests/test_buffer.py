@@ -227,6 +227,39 @@ def test_load_rejects_bad_lead_naming_line(tmp_path, lead):
         TrajectoryBuffer.load(str(path))
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("property_id",), ["plogp"]),
+        (("run_id",), {"run": 0}),
+        (("actions", 0, "tool_id"), ["swap"]),
+        (("step_outcomes", 0, "smiles"), 7),
+        (("actions", 0, "prompt_index"), 2.9),
+        (("actions", 0, "prompt_index"), True),
+        (("actions", 0, "prompt_index"), "1"),
+        (("step_outcomes", 0, "value"), "1.0"),
+        (("step_outcomes", 0, "value"), float("inf")),
+        (("step_outcomes", 0, "sim"), True),
+        (("final_ri",), "nan"),
+        (("final_ri",), float("nan")),
+        (("final_ri",), None),
+    ],
+    ids=repr,
+)
+def test_load_rejects_wrongly_typed_field_naming_line(tmp_path, where, value):
+    good = record_to_dict(make_record("CCO"))
+    bad = json.loads(json.dumps(good))
+    *path_to, key = where
+    target = bad
+    for step in path_to:
+        target = target[step]
+    target[key] = value
+    path = tmp_path / "buffer.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: {key} has the wrong type")):
+        TrajectoryBuffer.load(str(path))
+
+
 def test_record_dict_round_trip():
     record = make_record("CC(=O)Oc1ccccc1C(=O)O", actions=[ToolAction("swap", 2)])
     assert record_from_dict(record_to_dict(record)) == record

@@ -100,6 +100,27 @@ def test_undecodable_dataset_row_is_skipped(tmp_path, command, caplog, capsys):
         assert "entries=2 skipped=1" in capsys.readouterr().out
 
 
+def test_row_with_more_ring_closures_than_the_writer_has_digits_is_skipped(tmp_path, caplog):
+    # 400 linked phenyls: a valid molecule whose canonical form would need
+    # 400 ring-closure digits, where SMILES has 99.
+    path = tmp_path / "rows.jsonl"
+    write_dataset(path, [{"smiles": "c1ccc(cc1)" * 400 + "C", "property": "plogp"}] + dataset_rows(leads=LEADS[:1]))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", str(path), "--steps", "1", "--out", str(out)]) == 0
+    assert f"{path}:1: unparseable SMILES" in caplog.text
+    assert "400 ring closures" in caplog.text
+    assert [json.loads(line)["lead"] for line in out.read_text().splitlines()] == LEADS[:1]
+
+
+def test_row_nested_deeper_than_the_json_decoder_recurses_is_skipped(tmp_path, caplog):
+    path = tmp_path / "rows.jsonl"
+    path.write_text("[" * 100_000 + "\n" + json.dumps({"smiles": "CCO", "property": "plogp"}) + "\n")
+    entries, skipped = cli.ingest(str(path), {"plogp"})
+    assert [entry.smiles for entry in entries] == ["CCO"]
+    assert skipped == 1
+    assert f"{path}:1: skipping malformed row (JSON nested too deeply)" in caplog.text
+
+
 def test_ingest_property_restriction(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_dataset(

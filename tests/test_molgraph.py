@@ -92,6 +92,13 @@ def test_error_classes(text, error):
         parse_smiles(text)
 
 
+def test_ring_closures_beyond_the_writers_99_digits_are_refused():
+    phenyls = parse_smiles("c1ccc(cc1)" * 99 + "C")
+    assert len(phenyls.bonds) - len(phenyls.atoms) + 1 == 99
+    with pytest.raises(RingError, match="100 ring closures"):
+        parse_smiles("c1ccc(cc1)" * 100 + "C")
+
+
 def test_ring_bond_symbol_on_either_end():
     assert canonical_form(parse_smiles("C=1CCCCC=1")) == canonical_form(
         parse_smiles("C=1CCCCC1")

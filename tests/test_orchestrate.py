@@ -132,12 +132,24 @@ def test_external_planner_ordered_sequence_takes_first():
         json.dumps({"tool_calls": [{"tool_name": "swap", "prompt_index": 9}]}),
         json.dumps({"plan": "free-form"}),
         json.dumps({"tool_calls": [{"tool_name": "swap"}]}),
+        json.dumps({"tool_calls": [{"tool_name": "mutate", "prompt_index": True}]}),
+        json.dumps({"tool_calls": [{"tool_name": ["mutate"], "prompt_index": 1}]}),
+        pytest.param("[" * 100_000, id="nested-deeper-than-the-decoder-recurses"),
     ],
 )
 def test_external_planner_fallback_on_bad_reply(reply):
     config = config_for("online", planner=lambda context: reply)
     calls = orc.plan(config, LEAD, 0, [])
     assert calls == (ToolAction(TOOLSET[0].tool_id, 0),)
+
+
+@pytest.mark.parametrize("index", [True, False])
+def test_boolean_prompt_index_is_a_protocol_error(index):
+    # A bool is an int in Python; accepted, it was written to the results
+    # line as true/false, which report refuses.
+    reply = json.dumps({"tool_calls": [{"tool_name": "swap", "prompt_index": index}]})
+    with pytest.raises(orc.PlannerProtocolError, match="prompt_index"):
+        orc._parse_planner_reply(reply, config_for("online"))
 
 
 def test_external_planner_parallel_must_cover_all():
