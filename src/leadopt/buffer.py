@@ -10,8 +10,8 @@ line-delimited JSON, written atomically (write-new-then-rename).
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
@@ -176,6 +176,19 @@ def read_json_lines(path: str) -> Iterator[tuple[int, object]]:
         yield lineno, value
 
 
+def json_field(container: dict, key: str, *types: type) -> object:
+    """container[key] if it is one of types.
+
+    A bool passes only where bool is listed, and a number only if it is finite.
+    """
+    value = container[key]
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        # NaN, the infinities and ints beyond the float range all fail the bound.
+        if not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max:
+            return value
+    raise SchemaError(f"{key} has the wrong type or value: {value!r:.80}")
+
+
 def record_to_dict(record: TrajectoryRecord) -> dict:
     return {
         "lead": record.lead,
@@ -190,15 +203,6 @@ def record_to_dict(record: TrajectoryRecord) -> dict:
     }
 
 
-def _field(container: dict, key: str, *types: type) -> object:
-    """container[key] if it is one of types, not a bool, and finite if a number."""
-    value = container[key]
-    if isinstance(value, types) and not isinstance(value, bool):
-        if isinstance(value, str) or math.isfinite(value):
-            return value
-    raise SchemaError(f"{key} has the wrong type or value: {value!r:.80}")
-
-
 def record_from_dict(data: dict) -> TrajectoryRecord:
     try:
         shape = (data["fp_radius"], data["fp_nbits"])
@@ -207,23 +211,23 @@ def record_from_dict(data: dict) -> TrajectoryRecord:
                 f"fingerprint radius/nbits {shape[0]!r}/{shape[1]!r}, expected {RADIUS}/{NBITS}"
             )
         return TrajectoryRecord(
-            lead=_field(data, "lead", str),
+            lead=json_field(data, "lead", str),
             lead_fp=Fingerprint.from_hex(data["lead_fp_hex"]),
-            property_id=_field(data, "property_id", str),
+            property_id=json_field(data, "property_id", str),
             actions=tuple(
-                ToolAction(_field(a, "tool_id", str), _field(a, "prompt_index", int))
+                ToolAction(json_field(a, "tool_id", str), json_field(a, "prompt_index", int))
                 for a in data["actions"]
             ),
             step_outcomes=tuple(
                 StepOutcome(
-                    _field(o, "smiles", str),
-                    float(_field(o, "value", int, float)),
-                    float(_field(o, "sim", int, float)),
+                    json_field(o, "smiles", str),
+                    float(json_field(o, "value", int, float)),
+                    float(json_field(o, "sim", int, float)),
                 )
                 for o in data["step_outcomes"]
             ),
-            final_relative_improvement=float(_field(data, "final_ri", int, float)),
-            run_id=_field(data, "run_id", str),
+            final_relative_improvement=float(json_field(data, "final_ri", int, float)),
+            run_id=json_field(data, "run_id", str),
         )
     except SchemaError:
         raise

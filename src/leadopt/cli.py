@@ -21,7 +21,14 @@ from . import evaluate as ev
 from . import metrics as mx
 from . import orchestrate as orc
 from . import tools as tl
-from .buffer import SchemaError, TrajectoryBuffer, TrajectoryRecord, read_json_lines, write_lines_atomic
+from .buffer import (
+    SchemaError,
+    TrajectoryBuffer,
+    TrajectoryRecord,
+    json_field,
+    read_json_lines,
+    write_lines_atomic,
+)
 from .molgraph import MolGraph, ParseError, canonical_form, parse_smiles
 from .seeds import derive_seed
 
@@ -40,7 +47,6 @@ class DatasetEntry:
     smiles: str
     property_id: str
     mol: MolGraph  # the parsed row, reused by every later step
-    reference: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +89,16 @@ def json_endpoint(argv: list[str]):
 # ---------------------------------------------------------------------------
 
 
-# Builtin profile keys a tools config may set, with their conversions.
+# Builtin profile keys a tools config may set: the JSON types each takes
+# (numbers finite, never a bool) and the conversion to its ToolProfile field.
 _PROFILE_FIELDS = {
-    "edit_kind": str,
-    "competence": float,
-    "palette": tuple,
-    "p_fail": float,
-    "fail_damping": float,
-    "fail_floor": float,
-    "aggressive_edits": int,
+    "edit_kind": ((str,), str),
+    "competence": ((int, float), float),
+    "palette": ((list,), tuple),
+    "p_fail": ((int, float), float),
+    "fail_damping": ((int, float), float),
+    "fail_floor": ((int, float), float),
+    "aggressive_edits": ((int,), int),
 }
 
 
@@ -116,10 +123,10 @@ def _tool_spec(entry: dict) -> tl.ToolSpec:
         if not isinstance(text, str):
             raise TypeError(f"tool_id, description and templates must be strings, got {text!r:.80}")
     if entry.get("kind", "builtin") == "builtin":
-        profile = entry.get("profile", {})
+        profile = json_field(entry, "profile", dict) if "profile" in entry else {}
         fields = {
-            key: convert(profile[key])
-            for key, convert in _PROFILE_FIELDS.items()
+            key: convert(json_field(profile, key, *types))
+            for key, (types, convert) in _PROFILE_FIELDS.items()
             if key in profile
         }
         kind = tl.ToolProfile(**{"edit_kind": "swap", **fields})
@@ -210,7 +217,7 @@ def ingest(
             log.warning("%s:%d: unparseable SMILES %r (%s)", path, lineno, smiles, exc)
             skipped += 1
             continue
-        entries.append(DatasetEntry(smiles, property_id, mol, row.get("reference")))
+        entries.append(DatasetEntry(smiles, property_id, mol))
     return entries, skipped
 
 
@@ -230,6 +237,8 @@ def _run_campaigns(
     exception instead, so one lead cannot sink the run. Returns the
     (entry, outcome) pairs in dataset order and the skipped-row count.
     """
+    if args.jobs < 1:
+        raise orc.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     tool_set = load_toolset(args.tools_config)
     registry = load_property_registry(args.evaluators_config)
     buffer = None

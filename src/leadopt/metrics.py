@@ -10,6 +10,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+from .buffer import json_field
+
 RI_SIM_FLOOR = 0.5  # eligibility threshold for the relative-improvement mean
 
 _NONE = type(None)
@@ -51,16 +53,8 @@ class SampleOutcome:
     action_stats: tuple[ActionStat, ...]
 
 
-def _field(container: dict, key: str, *types: type) -> object:
-    """container[key] if it is one of types (a bool only where bool is listed)."""
-    value = container[key]
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise TypeError(f"{key!r} has the wrong type: {value!r:.80}")
-    return value
-
-
 def _step_index(container: dict, n_steps: int) -> int:
-    index = _field(container, "step_index", int)
+    index = json_field(container, "step_index", int)
     if not 0 <= index < n_steps:
         raise ValueError(f"step_index {index} out of range for {n_steps} steps")
     return index
@@ -70,31 +64,33 @@ def outcome_from_record(record: dict) -> SampleOutcome:
     """Distill one serialized campaign record into its metric inputs.
 
     Raises KeyError, TypeError or ValueError for a field that is missing or
-    whose type or range the record writer never gives it.
+    whose type, value or range the record writer never gives it: a
+    non-finite number among them.
     """
     generated: list[GeneratedCandidate] = []
     pending: dict[tuple[int, str, int], dict] = {}
-    steps = _field(record, "steps", list)
+    steps = json_field(record, "steps", list)
     for step in steps:
         step_index = _step_index(step, len(steps))
-        for attempt in _field(step, "attempts", list):
+        for attempt in json_field(step, "attempts", list):
             attempt_passed = False
-            for cand in _field(attempt, "candidates", list):
-                valid = _field(cand, "valid", bool)
-                passed = _field(cand, "passed", bool)
+            for cand in json_field(attempt, "candidates", list):
+                valid = json_field(cand, "valid", bool)
+                passed = json_field(cand, "passed", bool)
                 generated.append(
                     GeneratedCandidate(
-                        smiles=_field(cand, "smiles", str),
-                        canonical=_field(cand, "canonical", str, _NONE),
+                        smiles=json_field(cand, "smiles", str),
+                        canonical=json_field(cand, "canonical", str, _NONE),
                         valid=valid,
                         step_index=step_index,
                         passed=passed,
                     )
                 )
                 attempt_passed = attempt_passed or passed
-                _field(cand, "improvement_vs_lead", int, float, _NONE)  # type check only
-            key = (step_index, _field(attempt, "tool_id", str), _field(attempt, "prompt_index", int))
-            if not _field(attempt, "retry", bool):
+                json_field(cand, "improvement_vs_lead", int, float, _NONE)  # type check only
+            tool_id = json_field(attempt, "tool_id", str)
+            key = (step_index, tool_id, json_field(attempt, "prompt_index", int))
+            if not json_field(attempt, "retry", bool):
                 pending[key] = {
                     "step_index": step_index,
                     "first_failed": not attempt_passed,
@@ -106,10 +102,10 @@ def outcome_from_record(record: dict) -> SampleOutcome:
 
     best = record.get("best_seen")
     return SampleOutcome(
-        lead=_field(record, "lead", str),
+        lead=json_field(record, "lead", str),
         succeeded=best is not None,
-        sim=None if best is None else _field(best, "sim", int, float),
-        ri=None if best is None else _field(best, "relative_improvement", int, float, _NONE),
+        sim=None if best is None else json_field(best, "sim", int, float),
+        ri=None if best is None else json_field(best, "relative_improvement", int, float, _NONE),
         best_step=None if best is None else _step_index(best, len(steps)),
         n_steps=len(steps),
         generated=tuple(generated),

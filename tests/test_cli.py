@@ -53,9 +53,8 @@ def test_ingest_skips_bad_rows(tmp_path):
         ],
     )
     entries, skipped = cli.ingest(str(path), {"plogp", "qed"})
-    assert len(entries) == 2
+    assert [entry.smiles for entry in entries] == ["CCO", "CCN"]  # an extra key is ignored
     assert skipped == 3
-    assert entries[1].reference == "CCO"
 
 
 @pytest.mark.parametrize(
@@ -109,6 +108,15 @@ def test_row_with_more_ring_closures_than_the_writer_has_digits_is_skipped(tmp_p
     assert cli.main(["run", "--dataset", str(path), "--steps", "1", "--out", str(out)]) == 0
     assert f"{path}:1: unparseable SMILES" in caplog.text
     assert "400 ring closures" in caplog.text
+    assert [json.loads(line)["lead"] for line in out.read_text().splitlines()] == LEADS[:1]
+
+
+def test_row_with_a_non_ascii_digit_is_skipped(tmp_path, caplog):
+    path = tmp_path / "rows.jsonl"
+    write_dataset(path, [{"smiles": "C²CC", "property": "plogp"}] + dataset_rows(leads=LEADS[:1]))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", str(path), "--steps", "1", "--out", str(out)]) == 0
+    assert f"{path}:1: unparseable SMILES" in caplog.text
     assert [json.loads(line)["lead"] for line in out.read_text().splitlines()] == LEADS[:1]
 
 
@@ -178,6 +186,13 @@ def test_run_empty_dataset_fails(tmp_path):
 def test_run_rejects_nan_tau(dataset, tmp_path):
     out = tmp_path / "results.jsonl"
     assert cli.main(["run", "--dataset", dataset, "--tau", "nan", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_rejects_jobs_below_1(dataset, tmp_path, jobs):
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", dataset, "--jobs", jobs, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -404,6 +419,10 @@ CANDIDATE = ATTEMPT + ("candidates", 0)
         pytest.param(CANDIDATE + ("canonical",), ["CCN"], id="canonical-list"),
         pytest.param(CANDIDATE + ("improvement_vs_lead",), "1.0", id="gain-text"),
         pytest.param(CANDIDATE + ("improvement_vs_lead",), True, id="gain-bool"),
+        pytest.param(("best_seen", "sim"), float("nan"), id="sim-nan"),
+        pytest.param(("best_seen", "relative_improvement"), float("inf"), id="ri-infinity"),
+        pytest.param(CANDIDATE + ("improvement_vs_lead",), float("nan"), id="gain-nan"),
+        pytest.param(("best_seen", "sim"), 10**400, id="sim-beyond-float"),
     ],
 )
 def test_report_rejects_wrongly_typed_value(tmp_path, caplog, keys, value):
@@ -527,6 +546,21 @@ def test_tools_config_honours_profile_keys(tmp_path):
             "--tools-config",
             {"tools": [{"tool_id": "x", "profile": {"aggressive_edits": 0}}]},
             id="zero-aggressive_edits",
+        ),
+        *(
+            pytest.param("--tools-config", {"tools": [{"tool_id": "x", "profile": profile}]}, id=name)
+            for name, profile in (
+                ("nan-competence", {"competence": float("nan")}),
+                ("text-nan-competence", {"competence": "nan"}),
+                ("text-competence", {"competence": "0.5"}),
+                ("bool-p_fail", {"p_fail": True}),
+                ("infinite-fail_floor", {"fail_floor": float("inf")}),
+                ("float-aggressive_edits", {"aggressive_edits": 2.9}),
+                ("text-palette", {"palette": "CN"}),
+                ("object-palette", {"palette": {"C": 1}}),
+                ("text-profile", "competence"),
+                ("list-profile", []),
+            )
         ),
         pytest.param(
             "--tools-config",
@@ -692,6 +726,26 @@ def test_external_tool_and_evaluator_endpoints(tmp_path):
         for attempt in step["attempts"]
     }
     assert all_tools == {"chain-extender"}
+
+
+def test_external_tool_span_outside_the_smiles_alphabet_is_an_invalid_candidate(tmp_path):
+    tool_script = tmp_path / "tool.py"
+    tool_script.write_text("print('<SMILES>C\u00b2CC</SMILES> <SMILES>CCN</SMILES>')\n", encoding="utf-8")
+    tools_config = tmp_path / "tools.json"
+    tools_config.write_text(
+        json.dumps({"tools": [{"tool_id": "ext", "kind": "external", "endpoint": [sys.executable, str(tool_script)]}]}),
+        encoding="utf-8",
+    )
+    dataset = tmp_path / "data.jsonl"
+    write_dataset(dataset, [{"smiles": "CCO", "property": "plogp"}])
+    out = tmp_path / "results.jsonl"
+    argv = ["run", "--dataset", str(dataset), "--tools-config", str(tools_config), "--steps", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert "error" not in record
+    invalid, checked = record["steps"][0]["attempts"][0]["candidates"]
+    assert (invalid["smiles"], invalid["valid"], invalid["failure_kind"]) == ("C²CC", False, "invalid_structure")
+    assert (checked["smiles"], checked["valid"], checked["canonical"]) == ("CCN", True, "CCN")
 
 
 # -- golden bytes ----------------------------------------------------------------------

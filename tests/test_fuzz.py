@@ -39,6 +39,8 @@ ATOM_TOKENS = (
     "[nH]", "[NH4+]", "[O-]", "[n+]", "[C@@H]", "[CH2]", "[13C]", "[Xe]",
 )
 SYNTAX_TOKENS = ("(", ")", "=", "#", "-", ":", "/", "\\", "1", "2", "3", "%10", "%99", ".", "[", "]")
+# Digits and a letter outside ASCII, which str.isdigit/isupper accept and SMILES does not.
+NON_ASCII = ("١", "٣", "²", "೧", "Ä")
 
 seeds = st.integers(0, 2**32 - 1)
 molecules = st.one_of(
@@ -47,10 +49,10 @@ molecules = st.one_of(
     seeds.map(lambda seed: write_smiles(aromatic_system(random.Random(seed), 1 + seed % 4))),
 )
 smiles_like = st.one_of(
-    st.lists(st.sampled_from(ATOM_TOKENS * 3 + SYNTAX_TOKENS), max_size=30).map("".join),
-    st.text(alphabet="CNOSPBFIclnopsbrH[]()=#-:/\\@+%0123456789. ", max_size=40),
+    st.lists(st.sampled_from(ATOM_TOKENS * 3 + SYNTAX_TOKENS + NON_ASCII), max_size=30).map("".join),
+    st.text(alphabet="CNOSPBFIclnopsbrH[]()=#-:/\\@+%0123456789. " + "".join(NON_ASCII), max_size=40),
     molecules,
-    st.tuples(molecules, st.integers(0, 80), st.sampled_from(ATOM_TOKENS + SYNTAX_TOKENS)).map(
+    st.tuples(molecules, st.integers(0, 80), st.sampled_from(ATOM_TOKENS + SYNTAX_TOKENS + NON_ASCII)).map(
         lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
     ),
 )

@@ -77,6 +77,14 @@ def test_fragment_rejected():
         ("[C", SmilesSyntaxError),
         ("C%1", SmilesSyntaxError),
         ("Cx", SmilesSyntaxError),
+        ("C1CCCCC١", SmilesSyntaxError),  # non-ASCII digits are not ring numbers
+        ("C%١٢CCCCC%12", SmilesSyntaxError),
+        ("[CH٤]", SmilesSyntaxError),  # nor hydrogen counts
+        ("C²CC", SmilesSyntaxError),
+        ("[CH4\n]", SmilesSyntaxError),
+        ("\u3000CCO", SmilesSyntaxError),  # only ASCII whitespace is stripped
+        ("\u00a0CCO", SmilesSyntaxError),
+        ("CCO\x1c", SmilesSyntaxError),
         ("C11", RingError),
         ("C1C1", RingError),
         ("C-1CCCCC=1", RingError),
