@@ -63,15 +63,6 @@ class TrajectoryRecord:
         return (self.run_id, self.property_id, self.lead)
 
 
-def prefix_match(a: TrajectoryRecord, b: TrajectoryRecord, k: int) -> bool:
-    """Whether the first k tool-action nodes agree (both must have >= k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(a.actions) < k or len(b.actions) < k:
-        return False
-    return a.actions[:k] == b.actions[:k]
-
-
 @dataclass
 class TrajectoryBuffer:
     _by_property: dict[str, list[TrajectoryRecord]] = field(default_factory=dict)

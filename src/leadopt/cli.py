@@ -228,11 +228,11 @@ def ingest(
 
 def _run_campaigns(
     args: argparse.Namespace,
-    finish: Callable[[orc.CampaignResult, orc.RunConfig], object],
+    finish: Callable[[orc.CampaignResult], object],
 ) -> tuple[list[tuple[DatasetEntry, object]], int]:
     """Load the configs and the dataset, then run one campaign per entry.
 
-    Campaigns run on --jobs threads; finish(result, config) post-processes
+    Campaigns run on --jobs threads; finish(result) post-processes
     each one in its worker. A lead whose campaign raises yields the
     exception instead, so one lead cannot sink the run. Returns the
     (entry, outcome) pairs in dataset order and the skipped-row count.
@@ -269,7 +269,7 @@ def _run_campaigns(
     def run_one(pair: tuple[DatasetEntry, orc.RunConfig]) -> tuple[DatasetEntry, object]:
         entry, config = pair
         try:
-            return entry, finish(orc.run_campaign(config, entry.mol), config)
+            return entry, finish(orc.run_campaign(config, entry.mol))
         except Exception as exc:  # per-lead failure must not sink the run
             log.error("campaign failed for %s: %s", entry.smiles, exc)
             return entry, exc
@@ -281,7 +281,7 @@ def _run_campaigns(
 
 
 def run_command(args: argparse.Namespace) -> int:
-    outcomes, skipped = _run_campaigns(args, lambda result, config: orc.result_to_line(result))
+    outcomes, skipped = _run_campaigns(args, orc.result_to_line)
     lines = [
         json.dumps(
             {"lead": entry.smiles, "property_id": entry.property_id, "error": str(outcome)},
@@ -333,8 +333,7 @@ def report_command(args: argparse.Namespace) -> int:
     if errors:
         print(f"failed_campaigns={errors}")
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(mx.per_step_csv(report))
+        write_lines_atomic(args.csv, mx.per_step_csv(report).splitlines())
         log.info("wrote per-step series to %s", args.csv)
     return 0
 

@@ -338,11 +338,6 @@ def evaluate(spec: PropertySpec, mol: MolGraph) -> PropertyValue:
     return outcome
 
 
-def is_improvement(spec: PropertySpec, new: PropertyValue, ref: PropertyValue) -> bool:
-    """Strictly better in the preferred direction."""
-    return relative_improvement(spec, ref, new).improved
-
-
 def relative_improvement(
     spec: PropertySpec, initial: PropertyValue, final: PropertyValue
 ) -> Improvement:

@@ -65,9 +65,6 @@ class Fingerprint:
         if self.bits < 0 or self.bits >> NBITS:
             raise ValueError(f"bit field is not an unsigned {NBITS}-bit value")
 
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
     def to_hex(self) -> str:
         """Lowercase fixed-width hex of the bitset (persisted form)."""
         return format(self.bits, f"0{NBITS // 4}x")

@@ -3,11 +3,12 @@
 The subset covers the organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I),
 their aromatic lowercase forms, bracket atoms with charge / explicit hydrogen
 counts / stereo marks, branches, bond symbols ``- = # :``, and ring-closure
-digits including ``%nn``. Stereo marks (``@``, ``@@``, ``/``, ``\\``) are
-parsed and kept as opaque tags but ignored by validation, canonicalization,
-and fingerprints. Implicit hydrogens are derived from the valence table and
-never stored as atoms. Isotopes, atom maps, and multi-fragment molecules are
-rejected.
+digits including ``%nn``. Stereo marks are accepted and discarded: ``@`` and
+``@@`` inside brackets are read and dropped, and ``/`` and ``\\`` are single
+bonds, so a molecule with them equals the one written without them.
+Implicit hydrogens are derived from the valence table and never stored as
+atoms. Ring bonds are perceived from one spanning forest. Isotopes, atom
+maps, and multi-fragment molecules are rejected.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ CHARGED_VALENCE = {
     ("B", -1): (4,),
 }
 
-_BOND_FOR_SYMBOL = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+_BOND_FOR_SYMBOL = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC, "/": SINGLE, "\\": SINGLE}
 
 # One SMILES token per match, in ASCII only: the alternatives are the
 # grammar, so a character no alternative names is an error, not a guess.
@@ -58,9 +59,8 @@ _TOKEN = re.compile(
     r"(?P<atom>Cl|Br|[BCNOPSFI])"
     r"|(?P<aromatic>[bcnops])"
     r"|(?P<ring>[0-9]|%[0-9]{2})"
-    r"|(?P<bond>[-=#:])"
+    r"|(?P<bond>[-=#:/\\])"
     r"|(?P<branch>[()])"
-    r"|(?P<stereo>[/\\])"
     r"|(?P<bracket>\[(?P<isotope>[0-9]+)?(?P<symbol>Cl|Br|[BCNOPSFI]|[bcnops])"
     r"(?P<chiral>@{1,2})?(?P<hcount>H[0-9]*)?(?P<charge>\+\+|--|[+-][0-9]*)?\])"
     r"|(?P<other>\[[^\]]*\]|.)",  # a bad bracket atom, or any other character
@@ -109,7 +109,6 @@ class Atom:
     formal_charge: int = 0
     explicit_h: int | None = None
     aromatic: bool = False
-    stereo_tag: str | None = None
 
     def __post_init__(self):
         if self.element not in ALLOWED_VALENCE:
@@ -125,7 +124,6 @@ class Bond:
     a: int
     b: int
     order: int = SINGLE
-    stereo_tag: str | None = None
 
     def __post_init__(self):
         if self.a == self.b:
@@ -192,50 +190,42 @@ def neighbors(mol: MolGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def ring_bond_flags(mol: MolGraph) -> tuple[bool, ...]:
-    """True for every bond that lies on a cycle (i.e. is not a bridge)."""
+    """True for every bond that lies on a cycle (i.e. is not a bridge).
+
+    Each bond outside a spanning forest closes one cycle with the forest path
+    between its ends, and every cycle is built from these, so the ring bonds
+    are the non-forest bonds and the forest bonds on their paths.
+    """
     if "ring_bonds" in mol._cache:
         return mol._cache["ring_bonds"]
     adj = neighbors(mol)
-    n = len(mol.atoms)
-    index = [0] * n
-    low = [0] * n
-    visited = [False] * n
-    is_bridge = [False] * len(mol.bonds)
-    counter = [1]
-
-    for root in range(n):
-        if visited[root]:
+    depth = [-1] * len(mol.atoms)
+    up = [(-1, -1)] * len(mol.atoms)  # (parent atom, forest bond); (-1, -1) at a root
+    for root in range(len(mol.atoms)):
+        if depth[root] >= 0:
             continue
-        # Iterative Tarjan bridge finding.
-        stack = [(root, -1, iter(adj[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        depth[root] = 0
+        stack = [root]
         while stack:
-            node, in_bond, it = stack[-1]
-            advanced = False
-            for other, bi in it:
-                if bi == in_bond:
-                    continue
-                if not visited[other]:
-                    visited[other] = True
-                    index[other] = low[other] = counter[0]
-                    counter[0] += 1
-                    stack.append((other, bi, iter(adj[other])))
-                    advanced = True
-                    break
-                low[node] = min(low[node], index[other])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-                if low[node] > index[parent]:
-                    is_bridge[in_bond] = True
-    flags = tuple(not is_bridge[i] for i in range(len(mol.bonds)))
-    mol._cache["ring_bonds"] = flags
-    return flags
+            node = stack.pop()
+            for other, bi in adj[node]:
+                if depth[other] < 0:
+                    depth[other], up[other] = depth[node] + 1, (node, bi)
+                    stack.append(other)
+    flags = [False] * len(mol.bonds)
+    for bi, bond in enumerate(mol.bonds):
+        a, b = bond.pair
+        if up[a][1] == bi or up[b][1] == bi:
+            continue
+        flags[bi] = True
+        while a != b:  # climb from the deeper end until the two ends meet
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, forest_bond = up[a]
+            flags[forest_bond] = True
+    result = tuple(flags)
+    mol._cache["ring_bonds"] = result
+    return result
 
 
 def ring_atom_flags(mol: MolGraph) -> tuple[bool, ...]:
@@ -503,59 +493,54 @@ def _parse_bracket(match: re.Match) -> Atom:
         formal_charge=charge,
         explicit_h=explicit_h,
         aromatic=element != symbol,
-        stereo_tag=match.group("chiral"),
     )
 
 
-def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int, str | None]]]:
-    """Parse one connected SMILES fragment into atoms and raw bonds."""
+def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int]]]:
+    """Parse one connected SMILES fragment into atoms and raw (a, b, order) bonds."""
     atoms: list[Atom] = []
-    bonds: list[tuple[int, int, int, str | None]] = []
+    bonds: list[tuple[int, int, int]] = []
     bonded_pairs: set[tuple[int, int]] = set()
     prev: int | None = None
     branch_stack: list[int] = []
     pending_order: int | None = None
-    pending_stereo: str | None = None
-    ring_open: dict[int, tuple[int, int | None, str | None]] = {}
+    ring_open: dict[int, tuple[int, int | None]] = {}
 
-    def add_bond(a: int, b: int, order: int, stereo: str | None) -> None:
+    def add_bond(a: int, b: int, order: int) -> None:
         pair = (min(a, b), max(a, b))
         if a == b:
             raise RingError("ring closure bonds an atom to itself")
         if pair in bonded_pairs:
             raise RingError(f"duplicate bond between atoms {pair}")
         bonded_pairs.add(pair)
-        bonds.append((a, b, order, stereo))
+        bonds.append((a, b, order))
 
     def add_atom(atom: Atom) -> None:
-        nonlocal prev, pending_order, pending_stereo
+        nonlocal prev, pending_order
         atoms.append(atom)
         idx = len(atoms) - 1
         if prev is not None:
             order = pending_order if pending_order is not None else _IMPLICIT
-            add_bond(prev, idx, order, pending_stereo)
+            add_bond(prev, idx, order)
         elif pending_order is not None:
             raise SmilesSyntaxError("bond symbol before any atom")
         prev = idx
         pending_order = None
-        pending_stereo = None
 
     def close_ring(digit: int) -> None:
-        nonlocal pending_order, pending_stereo
+        nonlocal pending_order
         if prev is None:
             raise SmilesSyntaxError("ring digit before any atom")
         if digit in ring_open:
-            other, open_order, open_stereo = ring_open.pop(digit)
+            other, open_order = ring_open.pop(digit)
             order = pending_order
             if open_order is not None and order is not None and open_order != order:
                 raise RingError(f"conflicting bond symbols on ring digit {digit}")
             final = order if order is not None else open_order
-            add_bond(other, prev, final if final is not None else _IMPLICIT,
-                     pending_stereo or open_stereo)
+            add_bond(other, prev, final if final is not None else _IMPLICIT)
         else:
-            ring_open[digit] = (prev, pending_order, pending_stereo)
+            ring_open[digit] = (prev, pending_order)
         pending_order = None
-        pending_stereo = None
 
     # Kinds by measured frequency, of the 67,797 tokens parsed in a seed-2026 retrieve
     # benchmark run: aromatic 31 %, atom 22 %, '(' and ')' 15 % each, ring 15 %, bond 3 %.
@@ -581,10 +566,6 @@ def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int, st
             if pending_order is not None:
                 raise SmilesSyntaxError("two consecutive bond symbols")
             pending_order = _BOND_FOR_SYMBOL[token]
-        elif kind == "stereo":
-            if pending_order is not None:
-                raise SmilesSyntaxError("two consecutive bond symbols")
-            pending_order, pending_stereo = SINGLE, token
         elif kind == "bracket":
             add_atom(_parse_bracket(match))
         elif token == "[":
@@ -608,22 +589,22 @@ def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int, st
     return atoms, bonds
 
 
-def _resolve_orders(atoms: list[Atom], raw_bonds: list[tuple[int, int, int, str | None]]) -> MolGraph:
+def _resolve_orders(atoms: list[Atom], raw_bonds: list[tuple[int, int, int]]) -> MolGraph:
     """Resolve implicit bond orders, demoting non-ring aromatic contacts."""
     provisional = []
-    for a, b, order, stereo in raw_bonds:
+    for a, b, order in raw_bonds:
         if order == _IMPLICIT:
             order = AROMATIC if atoms[a].aromatic and atoms[b].aromatic else SINGLE
-        provisional.append(Bond(a, b, order, stereo))
+        provisional.append(Bond(a, b, order))
     mol = MolGraph(tuple(atoms), tuple(provisional))
     ring = ring_bond_flags(mol)
     resolved = []
     changed = False
-    for bi, ((a, b, order, stereo), bond) in enumerate(zip(raw_bonds, provisional)):
+    for bi, ((a, b, order), bond) in enumerate(zip(raw_bonds, provisional)):
         if order == _IMPLICIT and bond.order == AROMATIC and not ring[bi]:
             # Implicit bond between aromatic atoms outside any ring is a
             # plain single bond (e.g. the biphenyl linker).
-            resolved.append(Bond(a, b, SINGLE, stereo))
+            resolved.append(Bond(a, b, SINGLE))
             changed = True
         else:
             resolved.append(bond)

@@ -576,27 +576,6 @@ def run_campaign(config: RunConfig, lead_mol: MolGraph) -> CampaignResult:
     )
 
 
-def invocation_budget_check(result: CampaignResult, config: RunConfig) -> bool:
-    """Planned calls match the mode's budget; at most one retry per action."""
-    total = 0
-    for record in result.steps:
-        planned = [a for a in record.attempts if not a.retry]
-        retries = [a for a in record.attempts if a.retry]
-        if len(planned) != config.budget:
-            return False
-        if len(record.plan) != config.budget:
-            return False
-        retry_actions = [a.action for a in retries]
-        if len(retry_actions) != len(set(retry_actions)):
-            return False
-        if not set(retry_actions) <= {a.action for a in planned}:
-            return False
-        total += len(planned) + len(retries)
-    if total != result.invocation_count:
-        return False
-    return total <= config.steps * config.budget * 2
-
-
 # ---------------------------------------------------------------------------
 # Buffer building
 # ---------------------------------------------------------------------------
@@ -626,10 +605,7 @@ def _winning_action(record: StepRecord) -> ToolAction:
     return record.attempts[0].action if record.attempts else record.plan[0]
 
 
-def trajectory_from_campaign(
-    result: CampaignResult,
-    config: RunConfig,
-) -> TrajectoryRecord | None:
+def trajectory_from_campaign(result: CampaignResult) -> TrajectoryRecord | None:
     """Distill a successful campaign into a reusable trajectory record.
 
     The per-step action is the winner of that step; step outcomes track the
@@ -662,11 +638,6 @@ def trajectory_from_campaign(
 # ---------------------------------------------------------------------------
 # Serialization (one JSON record per campaign)
 # ---------------------------------------------------------------------------
-
-
-def result_to_record(result: CampaignResult) -> dict:
-    """The JSON document a results line holds: tuples read back as lists."""
-    return json.loads(result_to_line(result))
 
 
 def result_to_line(result: CampaignResult) -> str:

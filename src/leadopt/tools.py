@@ -66,7 +66,7 @@ class ToolProfile:
     is the tool's vocabulary for swaps/attachments/mutations, which is what
     gives each editor molecule-dependent strengths. p_fail corrupts the
     output string; each failure case embedded in the instruction multiplies
-    it by fail_damping (never below fail_floor).
+    it by fail_damping (never below fail_floor). These four lie in [0, 1].
     """
 
     edit_kind: str  # swap | mutate | ring
@@ -85,6 +85,9 @@ class ToolProfile:
             raise ValueError(f"unsupported palette elements {unknown}")
         if self.aggressive_edits < 1:
             raise ValueError("aggressive_edits must be >= 1")
+        for name in ("competence", "p_fail", "fail_damping", "fail_floor"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,12 @@ def _remove_atom(mol: MolGraph, idx: int, new_bonds: list[Bond] = ()) -> MolGrap
     def remap(i: int) -> int:
         return i - 1 if i > idx else i
 
-    bonds = [
-        Bond(remap(b.a), remap(b.b), b.order, b.stereo_tag)
-        for b in mol.bonds
+    bonds = tuple(
+        Bond(remap(b.a), remap(b.b), b.order)
+        for b in (*mol.bonds, *new_bonds)
         if idx not in b.pair
-    ]
-    bonds.extend(Bond(remap(b.a), remap(b.b), b.order) for b in new_bonds)
-    return MolGraph(atoms, tuple(bonds))
+    )
+    return MolGraph(atoms, bonds)
 
 
 @dataclass
@@ -600,9 +602,3 @@ def builtin_toolset() -> tuple[ToolSpec, ...]:
         ),
     )
 
-
-def with_flaky_probability(spec: ToolSpec, p_fail: float) -> ToolSpec:
-    """Copy of a builtin tool spec with a different corruption probability."""
-    if not isinstance(spec.kind, ToolProfile):
-        raise ValueError("only builtin tools have a failure probability")
-    return replace(spec, kind=replace(spec.kind, p_fail=p_fail))

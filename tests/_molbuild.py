@@ -236,7 +236,7 @@ def permuted_copy(mol: MolGraph, rng: random.Random) -> MolGraph:
     atoms = [None] * len(perm)
     for old, atom in enumerate(mol.atoms):
         atoms[inverse[old]] = atom
-    bonds = [Bond(inverse[b.a], inverse[b.b], b.order, b.stereo_tag) for b in mol.bonds]
+    bonds = [Bond(inverse[b.a], inverse[b.b], b.order) for b in mol.bonds]
     return MolGraph(tuple(atoms), tuple(bonds))
 
 

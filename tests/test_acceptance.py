@@ -16,12 +16,13 @@ from leadopt import evaluate as ev
 from leadopt import metrics as mx
 from leadopt import orchestrate as orc
 from leadopt import tools as tl
-from leadopt.buffer import TrajectoryBuffer, prefix_match
+from leadopt.buffer import TrajectoryBuffer
 from leadopt.fingerprint import morgan_fp, tanimoto
 from leadopt.molgraph import canonical_form, parse_smiles, write_smiles
 from leadopt.seeds import derive_seed
 
 from _molbuild import CURATED_SMILES, lead_pool, permuted_copy, perturb, random_lead, random_molgraph
+from _oracles import invocation_budget_check, is_improvement, prefix_match, with_flaky_probability
 
 PROPERTY_CYCLE = ("plogp", "qed", "bbbp", "hia", "mutagenicity")
 WORLD_SEEDS = ((101, "plogp"), (202, "qed"), (303, "bbbp"), (404, "hia"), (505, "mutagenicity"))
@@ -64,7 +65,7 @@ def build_world(seed: int, property_id: str, n_train: int = 200, n_test: int = 5
         )
         result = orc.run_campaign(config, lead)
         train_runs.append((config, result))
-        record = orc.trajectory_from_campaign(result, config)
+        record = orc.trajectory_from_campaign(result)
         if record is not None:
             buffer.insert(record)
 
@@ -297,7 +298,7 @@ def test_criterion_4_budget_accounting(worlds, campaign_100):
             runs.extend(mode_runs)
     for config, result in runs:
         checked += 1
-        if not orc.invocation_budget_check(result, config):
+        if not invocation_budget_check(result, config):
             bad += 1
             continue
         for step in result.steps:
@@ -334,7 +335,7 @@ def test_criterion_5_anchoring(worlds):
             violations += 1
         initial = ev.evaluate(prop, lead)
         final = ev.evaluate(prop, best)
-        if not ev.is_improvement(prop, final, initial):
+        if not is_improvement(prop, final, initial):
             violations += 1
     ok = violations == 0 and successes > 0
     report(5, "anchoring", ok, f"200 leads, {successes} successes, {violations} violations")
@@ -365,7 +366,7 @@ def test_criterion_6_multi_step_benefit():
                 run_id=f"c6-{index}",
             )
             outcomes.append(
-                mx.outcome_from_record(orc.result_to_record(orc.run_campaign(config, lead)))
+                mx.outcome_from_record(json.loads(orc.result_to_line(orc.run_campaign(config, lead))))
             )
         bf = mx.best_from(outcomes)
         nov = mx.novelty(outcomes)
@@ -384,7 +385,7 @@ def test_criterion_6_multi_step_benefit():
 
 def test_criterion_7_self_correction_rescue():
     toolset = tl.builtin_toolset()
-    flaky = tl.with_flaky_probability(toolset[3], 0.5)
+    flaky = with_flaky_probability(toolset[3], 0.5)
     assert flaky.kind.p_fail == 0.5 and flaky.kind.fail_damping == 0.5
     prop = ev.builtin_property("plogp")
     total_failed_actions = 0
@@ -407,7 +408,7 @@ def test_criterion_7_self_correction_rescue():
                     run_id="c7",
                 )
                 outcomes.append(
-                    mx.outcome_from_record(orc.result_to_record(orc.run_campaign(config, lead)))
+                    mx.outcome_from_record(json.loads(orc.result_to_line(orc.run_campaign(config, lead))))
                 )
             per_retry[retry] = outcomes
         error_rate, _ = mx.error_and_rescue(per_retry[True])
@@ -452,7 +453,7 @@ def test_criterion_8_mode_ordering(worlds):
         planned = {}
         for mode, runs in world["mode_runs"].items():
             outcomes = [
-                mx.outcome_from_record(orc.result_to_record(result)) for _, result in runs
+                mx.outcome_from_record(json.loads(orc.result_to_line(result))) for _, result in runs
             ]
             stats[mode] = (
                 mx.success_rate(outcomes),
@@ -493,7 +494,7 @@ def test_criterion_9_trajectory_similarity_correlation(worlds):
         low = []
         high = []
         for config, result in world["mode_runs"]["parallel"]:
-            own = orc.trajectory_from_campaign(result, config)
+            own = orc.trajectory_from_campaign(result)
             if own is None:
                 continue
             hit = world["buffer"].top1_similar(

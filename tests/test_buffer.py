@@ -10,7 +10,6 @@ from leadopt.buffer import (
     ToolAction,
     TrajectoryBuffer,
     TrajectoryRecord,
-    prefix_match,
     record_from_dict,
     record_to_dict,
 )
@@ -18,6 +17,7 @@ from leadopt.fingerprint import morgan_fp, tanimoto
 from leadopt.molgraph import canonical_form, parse_smiles
 
 from _molbuild import lead_pool, loose_hex_spellings, perturb
+from _oracles import prefix_match
 
 
 def make_record(smiles, property_id="plogp", actions=None, ri=0.5, run_id="r0"):

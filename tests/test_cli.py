@@ -560,6 +560,12 @@ def test_tools_config_honours_profile_keys(tmp_path):
                 ("object-palette", {"palette": {"C": 1}}),
                 ("text-profile", "competence"),
                 ("list-profile", []),
+                ("competence-above-1", {"competence": 7}),
+                ("negative-p_fail", {"p_fail": -2}),
+                ("fail_floor-above-1", {"fail_floor": 3}),
+                ("fail_damping-above-1", {"fail_damping": 9}),
+                ("negative-competence", {"competence": -0.1}),
+                ("p_fail-just-above-1", {"p_fail": 1.0001}),
             )
         ),
         pytest.param(

@@ -137,7 +137,7 @@ CONFIG = orc.RunConfig(orc.ONLINE, TOOLSET, PLOGP, steps=2, seed=5, run_id="fuzz
 PARALLEL_CONFIG = orc.RunConfig(orc.PARALLEL, TOOLSET, PLOGP, steps=2, seed=5, run_id="fuzz")
 # One real results line and one real buffer record, as the writers give them.
 RESULT = json.loads(orc.result_to_line(orc.run_campaign(CONFIG, LEAD)))
-RECORD = record_to_dict(orc.trajectory_from_campaign(orc.run_campaign(PARALLEL_CONFIG, LEAD), PARALLEL_CONFIG))
+RECORD = record_to_dict(orc.trajectory_from_campaign(orc.run_campaign(PARALLEL_CONFIG, LEAD)))
 
 
 def test_templates_are_real_documents():

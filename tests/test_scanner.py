@@ -7,7 +7,8 @@ its bracket parser are kept below as the reference: on ASCII text both give
 the same atoms and raw bonds, or raise the same exception class. On any
 other text the scanner raises a ``ParseError``, where the loop read some
 non-ASCII digits as ring numbers or hydrogen counts and raised a bare
-``ValueError`` on others.
+``ValueError`` on others. Both discard stereo marks, so a raw bond is
+``(a, b, order)``.
 """
 
 import re
@@ -66,58 +67,53 @@ def _parse_bracket(body: str) -> Atom:
         formal_charge=charge,
         explicit_h=explicit_h,
         aromatic=aromatic,
-        stereo_tag=match.group("stereo"),
     )
 
 
-def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int, str | None]]]:
+def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int]]]:
     atoms: list[Atom] = []
-    bonds: list[tuple[int, int, int, str | None]] = []
+    bonds: list[tuple[int, int, int]] = []
     bonded_pairs: set[tuple[int, int]] = set()
     prev: int | None = None
     branch_stack: list[int] = []
     pending_order: int | None = None
-    pending_stereo: str | None = None
-    ring_open: dict[int, tuple[int, int | None, str | None]] = {}
+    ring_open: dict[int, tuple[int, int | None]] = {}
 
-    def add_bond(a: int, b: int, order: int, stereo: str | None) -> None:
+    def add_bond(a: int, b: int, order: int) -> None:
         pair = (min(a, b), max(a, b))
         if a == b:
             raise RingError("ring closure bonds an atom to itself")
         if pair in bonded_pairs:
             raise RingError(f"duplicate bond between atoms {pair}")
         bonded_pairs.add(pair)
-        bonds.append((a, b, order, stereo))
+        bonds.append((a, b, order))
 
     def add_atom(atom: Atom) -> None:
-        nonlocal prev, pending_order, pending_stereo
+        nonlocal prev, pending_order
         atoms.append(atom)
         idx = len(atoms) - 1
         if prev is not None:
             order = pending_order if pending_order is not None else _IMPLICIT
-            add_bond(prev, idx, order, pending_stereo)
+            add_bond(prev, idx, order)
         elif pending_order is not None:
             raise SmilesSyntaxError("bond symbol before any atom")
         prev = idx
         pending_order = None
-        pending_stereo = None
 
     def close_ring(digit: int) -> None:
-        nonlocal pending_order, pending_stereo
+        nonlocal pending_order
         if prev is None:
             raise SmilesSyntaxError("ring digit before any atom")
         if digit in ring_open:
-            other, open_order, open_stereo = ring_open.pop(digit)
+            other, open_order = ring_open.pop(digit)
             order = pending_order
             if open_order is not None and order is not None and open_order != order:
                 raise RingError(f"conflicting bond symbols on ring digit {digit}")
             final = order if order is not None else open_order
-            add_bond(other, prev, final if final is not None else _IMPLICIT,
-                     pending_stereo or open_stereo)
+            add_bond(other, prev, final if final is not None else _IMPLICIT)
         else:
-            ring_open[digit] = (prev, pending_order, pending_stereo)
+            ring_open[digit] = (prev, pending_order)
         pending_order = None
-        pending_stereo = None
 
     i = 0
     length = len(text)
@@ -144,7 +140,6 @@ def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int, st
             if pending_order is not None:
                 raise SmilesSyntaxError("two consecutive bond symbols")
             pending_order = SINGLE
-            pending_stereo = ch
             i += 1
         elif ch.isdigit():
             close_ring(int(ch))

@@ -12,6 +12,7 @@ from leadopt.fingerprint import morgan_fp, tanimoto
 from leadopt.molgraph import ParseError, parse_smiles, validate
 
 from _molbuild import lead_pool, random_molgraph
+from _oracles import with_flaky_probability
 
 TOOLSET = tl.builtin_toolset()
 SWAP, MUTATE, RING, FLAKY = TOOLSET
@@ -105,7 +106,7 @@ def test_ring_tool_adds_ring_to_hexane():
 
 
 def test_flaky_always_fails_at_probability_one():
-    flaky = tl.with_flaky_probability(FLAKY, 1.0)
+    flaky = with_flaky_probability(FLAKY, 1.0)
     candidates = tl.invoke(flaky, tl.build_instruction(flaky, 0, PLOGP), parse_smiles("CCO"), 3)
     with pytest.raises(ParseError):
         parse_smiles(candidates[0])
