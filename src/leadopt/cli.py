@@ -146,7 +146,7 @@ def load_toolset(path: str | None) -> tuple[tl.ToolSpec, ...]:
     with open(path, encoding="utf-8") as handle:
         try:
             specs = [_tool_spec(entry) for entry in json.load(handle)["tools"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise orc.ConfigError(f"{path}: malformed tools config ({exc!r})") from exc
     if not specs:
         raise orc.ConfigError("tools config lists no tools")
@@ -167,7 +167,7 @@ def load_property_registry(path: str | None) -> dict[str, ev.PropertySpec]:
                 direction = entry.get("direction", ev.KNOWN_DIRECTIONS.get(pid, ev.MAXIMIZE))
                 evaluator = ev.ExternalEvaluator(pid, json_endpoint(_endpoint_argv(entry)))
                 registry[pid] = ev.PropertySpec(pid, direction, evaluator)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise orc.ConfigError(f"{path}: malformed evaluators config ({exc!r})") from exc
     return registry
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,16 +251,17 @@ def _is_error_entry(entry: object, n: int) -> bool:
 
 
 def _sample_value(value: object) -> float | str:
-    """A reply value as a finite float, or the message saying why it is not one."""
-    if isinstance(value, bool):
-        return f"boolean value {value} from evaluator"
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        return f"non-numeric value {value!r:.80}"
-    if not math.isfinite(number):
-        return "non-finite value from evaluator"
-    return number
+    """A reply value as a float, or the message saying why it is not one.
+
+    The value must be a JSON number within the float range: an int or a
+    float, never a bool, a numeric string, NaN or an infinity. It is
+    checked, not converted.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # NaN, the infinities and ints beyond the float range all fail the bound.
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    return f"not a finite JSON number: {value!r:.80}"
 
 
 def _reply_outcomes(response: object, n: int) -> list[float | str]:

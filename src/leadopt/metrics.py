@@ -2,12 +2,14 @@
 
 All metrics are pure aggregations over SampleOutcome values distilled from
 serialized campaign records, so an independent pass over the raw records can
-reproduce every number exactly.
+reproduce every number exactly. Each metric is a percent of a count; one
+whose count has no denominator (SIM with no success, VR with no generated
+candidate, an error rate at a step without candidates) is None, which the
+table prints as ``--`` and the CSV leaves blank.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .buffer import json_field
@@ -18,16 +20,11 @@ _NONE = type(None)
 
 
 class EmptyInputError(ValueError):
-    """Metric requires at least one sample / generated candidate."""
-
-
-class NoSuccessesError(ValueError):
-    """Metric is defined over successful samples only and none exist."""
+    """A report needs at least one sample."""
 
 
 @dataclass(frozen=True)
 class GeneratedCandidate:
-    smiles: str
     canonical: str | None
     valid: bool
     step_index: int
@@ -43,7 +40,6 @@ class ActionStat:
 
 @dataclass(frozen=True)
 class SampleOutcome:
-    lead: str
     succeeded: bool
     sim: float | None
     ri: float | None  # None when undefined (zero initial value), flagged
@@ -77,9 +73,9 @@ def outcome_from_record(record: dict) -> SampleOutcome:
             for cand in json_field(attempt, "candidates", list):
                 valid = json_field(cand, "valid", bool)
                 passed = json_field(cand, "passed", bool)
+                json_field(cand, "smiles", str)  # type check only
                 generated.append(
                     GeneratedCandidate(
-                        smiles=json_field(cand, "smiles", str),
                         canonical=json_field(cand, "canonical", str, _NONE),
                         valid=valid,
                         step_index=step_index,
@@ -100,9 +96,9 @@ def outcome_from_record(record: dict) -> SampleOutcome:
                 pending[key]["rescued"] = attempt_passed
     action_stats = [ActionStat(**stat) for stat in pending.values()]
 
-    best = record.get("best_seen")
+    json_field(record, "lead", str)  # type check only
+    best = json_field(record, "best_seen", dict, _NONE)
     return SampleOutcome(
-        lead=json_field(record, "lead", str),
         succeeded=best is not None,
         sim=None if best is None else json_field(best, "sim", int, float),
         ri=None if best is None else json_field(best, "relative_improvement", int, float, _NONE),
@@ -113,126 +109,12 @@ def outcome_from_record(record: dict) -> SampleOutcome:
     )
 
 
-def success_rate(outcomes: list[SampleOutcome]) -> float:
-    """Share of samples with a valid, constraint-satisfying improvement."""
-    if not outcomes:
-        raise EmptyInputError("no samples")
-    wins = sum(1 for o in outcomes if o.succeeded)
-    return 100.0 * wins / len(outcomes)
-
-
-def similarity_avg(outcomes: list[SampleOutcome]) -> float:
-    sims = [o.sim for o in outcomes if o.succeeded]
-    if not sims:
-        raise NoSuccessesError("similarity is averaged over successful samples")
-    return 100.0 * sum(sims) / len(sims)
-
-
-def relative_improvement_avg(outcomes: list[SampleOutcome]) -> float | None:
-    """Mean relative gain over successes with sim >= 0.5; None when empty.
-
-    Samples whose initial value was zero carry ri=None and are excluded
-    (their count is surfaced by compile_report).
-    """
-    eligible = [
-        o.ri
-        for o in outcomes
-        if o.succeeded and o.sim is not None and o.sim >= RI_SIM_FLOOR and o.ri is not None
-    ]
-    if not eligible:
-        return None
-    return 100.0 * sum(eligible) / len(eligible)
-
-
-def validity_rate(outcomes: list[SampleOutcome]) -> float:
-    total = valid = 0
-    for outcome in outcomes:
-        for cand in outcome.generated:
-            total += 1
-            valid += cand.valid
-    if total == 0:
-        raise EmptyInputError("no generated candidates")
-    return 100.0 * valid / total
-
-
-def _step_count(outcomes: list[SampleOutcome]) -> int:
-    return max((o.n_steps for o in outcomes), default=0)
-
-
-def best_from(outcomes: list[SampleOutcome]) -> list[float]:
-    """Per step: share of successes whose best candidate arose there."""
-    succeeded = [o for o in outcomes if o.succeeded]
-    if not succeeded:
-        raise NoSuccessesError("BestFrom is defined over successful samples")
-    steps = _step_count(outcomes)
-    counts = [0] * steps
-    for outcome in succeeded:
-        counts[outcome.best_step] += 1
-    return [100.0 * count / len(succeeded) for count in counts]
-
-
-def novelty(outcomes: list[SampleOutcome]) -> list[float | None]:
-    """Per step: share of passing candidates not generated earlier.
-
-    Prior structures are scoped to the candidate's own trajectory; a step
-    with no passing candidates anywhere reports None.
-    """
-    steps = _step_count(outcomes)
-    novel = [0] * steps
-    passing = [0] * steps
-    for outcome in outcomes:
-        seen_before: set[str] = set()
-        by_step: dict[int, list[GeneratedCandidate]] = {}
-        for cand in outcome.generated:
-            by_step.setdefault(cand.step_index, []).append(cand)
-        for step in range(outcome.n_steps):
-            for cand in by_step.get(step, []):
-                if cand.passed:
-                    passing[step] += 1
-                    if cand.canonical not in seen_before:
-                        novel[step] += 1
-            for cand in by_step.get(step, []):
-                if cand.canonical is not None:
-                    seen_before.add(cand.canonical)
-    return [
-        (100.0 * novel[s] / passing[s]) if passing[s] else None for s in range(steps)
-    ]
-
-
-def error_and_rescue(
-    outcomes: list[SampleOutcome],
-) -> tuple[list[float | None], list[float | None]]:
-    """Per step (error rate, rescue rate); rates with no denominator are None."""
-    steps = _step_count(outcomes)
-    candidates = [0] * steps
-    failing = [0] * steps
-    first_failed = [0] * steps
-    rescued = [0] * steps
-    for outcome in outcomes:
-        for cand in outcome.generated:
-            candidates[cand.step_index] += 1
-            failing[cand.step_index] += not cand.passed
-        for stat in outcome.action_stats:
-            if stat.first_failed:
-                first_failed[stat.step_index] += 1
-                rescued[stat.step_index] += stat.rescued
-    error_rate = [
-        (100.0 * failing[s] / candidates[s]) if candidates[s] else None
-        for s in range(steps)
-    ]
-    rescue_rate = [
-        (100.0 * rescued[s] / first_failed[s]) if first_failed[s] else None
-        for s in range(steps)
-    ]
-    return error_rate, rescue_rate
-
-
 @dataclass(frozen=True)
 class MetricReport:
     sr: float
     sim: float | None
     ri: float | None
-    vr: float
+    vr: float | None
     best_from: tuple[float, ...]
     novelty: tuple[float | None, ...]
     error_rate: tuple[float | None, ...]
@@ -240,48 +122,75 @@ class MetricReport:
     counts: dict
 
 
+def _percent(part: float, whole: int) -> float | None:
+    """part as a percent of whole, or None when whole is 0."""
+    return 100.0 * part / whole if whole else None
+
+
 def compile_report(outcomes: list[SampleOutcome]) -> MetricReport:
+    """Every metric in one pass over the outcomes.
+
+    SIM and BestFrom are over successful samples and RI over successes with
+    sim >= RI_SIM_FLOOR whose initial value was not zero; VR is over every
+    generated candidate. Per step, the error rate is over candidates, the
+    rescue rate over first attempts that failed, and novelty over passing
+    candidates, a candidate being novel when its own trajectory had not
+    generated that structure in an earlier step. Raises EmptyInputError
+    for an empty list.
+    """
     if not outcomes:
         raise EmptyInputError("no samples")
-    n_succeeded = sum(1 for o in outcomes if o.succeeded)
-    ri_zero_excluded = sum(
-        1
-        for o in outcomes
-        if o.succeeded and o.sim is not None and o.sim >= RI_SIM_FLOOR and o.ri is None
+    steps = max(o.n_steps for o in outcomes)
+    best, candidates, failing, passing, novel, first_failed, rescued = (
+        [0] * steps for _ in range(7)
     )
-    ri_eligible = sum(
-        1
-        for o in outcomes
-        if o.succeeded and o.sim is not None and o.sim >= RI_SIM_FLOOR and o.ri is not None
-    )
-    n_generated = sum(len(o.generated) for o in outcomes)
-    n_valid = sum(sum(1 for c in o.generated if c.valid) for o in outcomes)
-    try:
-        sim = similarity_avg(outcomes)
-    except NoSuccessesError:
-        sim = None
-    try:
-        bf = tuple(best_from(outcomes))
-    except NoSuccessesError:
-        bf = tuple()
-    error_rate, rescue_rate = error_and_rescue(outcomes)
+    sims: list[float] = []
+    ris: list[float] = []
+    ri_zero_excluded = n_valid = 0
+    for outcome in outcomes:
+        if outcome.succeeded:
+            sims.append(outcome.sim)
+            best[outcome.best_step] += 1
+            if outcome.sim >= RI_SIM_FLOOR:
+                if outcome.ri is None:
+                    ri_zero_excluded += 1
+                else:
+                    ris.append(outcome.ri)
+        by_step: list[list[GeneratedCandidate]] = [[] for _ in range(outcome.n_steps)]
+        for cand in outcome.generated:
+            by_step[cand.step_index].append(cand)
+        seen_before: set[str] = set()
+        for step, step_cands in enumerate(by_step):
+            for cand in step_cands:
+                candidates[step] += 1
+                n_valid += cand.valid
+                failing[step] += not cand.passed
+                if cand.passed:
+                    passing[step] += 1
+                    novel[step] += cand.canonical not in seen_before
+            seen_before.update(c.canonical for c in step_cands if c.canonical is not None)
+        for stat in outcome.action_stats:
+            if stat.first_failed:
+                first_failed[stat.step_index] += 1
+                rescued[stat.step_index] += stat.rescued
+    n_generated = sum(candidates)
     return MetricReport(
-        sr=success_rate(outcomes),
-        sim=sim,
-        ri=relative_improvement_avg(outcomes),
-        vr=validity_rate(outcomes),
-        best_from=bf,
-        novelty=tuple(novelty(outcomes)),
-        error_rate=tuple(error_rate),
-        rescue_rate=tuple(rescue_rate),
+        sr=_percent(len(sims), len(outcomes)),
+        sim=_percent(sum(sims), len(sims)),
+        ri=_percent(sum(ris), len(ris)),
+        vr=_percent(n_valid, n_generated),
+        best_from=tuple(_percent(count, len(sims)) for count in best) if sims else (),
+        novelty=tuple(map(_percent, novel, passing)),
+        error_rate=tuple(map(_percent, failing, candidates)),
+        rescue_rate=tuple(map(_percent, rescued, first_failed)),
         counts={
             "samples": len(outcomes),
-            "succeeded": n_succeeded,
-            "ri_eligible": ri_eligible,
+            "succeeded": len(sims),
+            "ri_eligible": len(ris),
             "ri_zero_initial_excluded": ri_zero_excluded,
             "generated": n_generated,
             "valid": n_valid,
-            "steps": _step_count(outcomes),
+            "steps": steps,
         },
     )
 
@@ -309,18 +218,9 @@ def render_table(report: MetricReport, label: str = "campaign") -> str:
 
 def per_step_csv(report: MetricReport) -> str:
     """CSV of the per-step series (1-based step labels for plotting)."""
-    out = io.StringIO()
-    out.write("step,error_rate,rescue_rate,best_from,novelty\n")
-    steps = report.counts["steps"]
-
-    def cell(series: tuple, index: int) -> str:
-        if index >= len(series) or series[index] is None:
-            return ""
-        return f"{series[index]:.2f}"
-
-    for step in range(steps):
-        out.write(
-            f"{step + 1},{cell(report.error_rate, step)},{cell(report.rescue_rate, step)},"
-            f"{cell(report.best_from, step)},{cell(report.novelty, step)}\n"
-        )
-    return out.getvalue()
+    lines = ["step,error_rate,rescue_rate,best_from,novelty"]
+    best_from = report.best_from or (None,) * report.counts["steps"]
+    series = zip(report.error_rate, report.rescue_rate, best_from, report.novelty)
+    for step, cells in enumerate(series, start=1):
+        lines.append(",".join([str(step), *("" if v is None else f"{v:.2f}" for v in cells)]))
+    return "\n".join(lines) + "\n"

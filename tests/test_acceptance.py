@@ -22,7 +22,13 @@ from leadopt.molgraph import canonical_form, parse_smiles, write_smiles
 from leadopt.seeds import derive_seed
 
 from _molbuild import CURATED_SMILES, lead_pool, permuted_copy, perturb, random_lead, random_molgraph
-from _oracles import invocation_budget_check, is_improvement, prefix_match, with_flaky_probability
+from _oracles import (
+    brute_force_metrics,
+    invocation_budget_check,
+    is_improvement,
+    prefix_match,
+    with_flaky_probability,
+)
 
 PROPERTY_CYCLE = ("plogp", "qed", "bbbp", "hia", "mutagenicity")
 WORLD_SEEDS = ((101, "plogp"), (202, "qed"), (303, "bbbp"), (404, "hia"), (505, "mutagenicity"))
@@ -176,86 +182,6 @@ def test_criterion_2_fingerprint_properties():
 # ---------------------------------------------------------------------------
 
 
-def brute_force_metrics(records: list[dict]) -> dict:
-    """Independent recomputation of every metric from raw step records."""
-    n = len(records)
-    succeeded = [r for r in records if r["best_seen"] is not None]
-    sr = 100.0 * len(succeeded) / n
-
-    sims = [r["best_seen"]["sim"] for r in succeeded]
-    sim = 100.0 * sum(sims) / len(sims) if sims else None
-
-    eligible = [
-        r["best_seen"]["relative_improvement"]
-        for r in succeeded
-        if r["best_seen"]["sim"] >= 0.5 and r["best_seen"]["relative_improvement"] is not None
-    ]
-    ri = 100.0 * sum(eligible) / len(eligible) if eligible else None
-
-    total = valid = 0
-    for record in records:
-        for step in record["steps"]:
-            for attempt in step["attempts"]:
-                for candidate in attempt["candidates"]:
-                    total += 1
-                    valid += candidate["valid"]
-    vr = 100.0 * valid / total
-
-    steps = max(len(r["steps"]) for r in records)
-    bf_counts = [0] * steps
-    for record in succeeded:
-        bf_counts[record["best_seen"]["step_index"]] += 1
-    bf = [100.0 * c / len(succeeded) for c in bf_counts] if succeeded else []
-
-    novel = [0] * steps
-    passing = [0] * steps
-    for record in records:
-        prior: set = set()
-        for step in record["steps"]:
-            idx = step["step_index"]
-            step_candidates = [
-                c for attempt in step["attempts"] for c in attempt["candidates"]
-            ]
-            for candidate in step_candidates:
-                if candidate["passed"]:
-                    passing[idx] += 1
-                    if candidate["canonical"] not in prior:
-                        novel[idx] += 1
-            for candidate in step_candidates:
-                if candidate["canonical"] is not None:
-                    prior.add(candidate["canonical"])
-    nov = [100.0 * novel[s] / passing[s] if passing[s] else None for s in range(steps)]
-
-    cand_total = [0] * steps
-    cand_fail = [0] * steps
-    action_fail = [0] * steps
-    action_rescued = [0] * steps
-    for record in records:
-        for step in record["steps"]:
-            idx = step["step_index"]
-            failed_first: dict = {}
-            for attempt in step["attempts"]:
-                attempt_pass = False
-                for candidate in attempt["candidates"]:
-                    cand_total[idx] += 1
-                    cand_fail[idx] += not candidate["passed"]
-                    attempt_pass = attempt_pass or candidate["passed"]
-                key = (attempt["tool_id"], attempt["prompt_index"])
-                if not attempt["retry"]:
-                    if not attempt_pass:
-                        failed_first[key] = False
-                elif key in failed_first:
-                    failed_first[key] = failed_first[key] or attempt_pass
-            action_fail[idx] += len(failed_first)
-            action_rescued[idx] += sum(failed_first.values())
-    er = [100.0 * cand_fail[s] / cand_total[s] if cand_total[s] else None for s in range(steps)]
-    rr = [
-        100.0 * action_rescued[s] / action_fail[s] if action_fail[s] else None
-        for s in range(steps)
-    ]
-    return {"sr": sr, "sim": sim, "ri": ri, "vr": vr, "bf": bf, "nov": nov, "er": er, "rr": rr}
-
-
 def test_criterion_3_metric_oracle_equivalence(campaign_100):
     records = [json.loads(orc.result_to_line(result)) for _, result in campaign_100]
     outcomes = [mx.outcome_from_record(record) for record in records]
@@ -368,8 +294,8 @@ def test_criterion_6_multi_step_benefit():
             outcomes.append(
                 mx.outcome_from_record(json.loads(orc.result_to_line(orc.run_campaign(config, lead))))
             )
-        bf = mx.best_from(outcomes)
-        nov = mx.novelty(outcomes)
+        metrics = mx.compile_report(outcomes)
+        bf, nov = metrics.best_from, metrics.novelty
         good = bf[2] >= bf[0] and nov[2] is not None and nov[2] > 0
         seeds_ok += good
         details.append(f"seed {seed}: BF1={bf[0]:.1f} BF3={bf[2]:.1f} Nov3={nov[2]:.1f}")
@@ -411,15 +337,15 @@ def test_criterion_7_self_correction_rescue():
                     mx.outcome_from_record(json.loads(orc.result_to_line(orc.run_campaign(config, lead))))
                 )
             per_retry[retry] = outcomes
-        error_rate, _ = mx.error_and_rescue(per_retry[True])
-        er_reported = er_reported and all(value is not None for value in error_rate)
+        with_retry = mx.compile_report(per_retry[True])
+        er_reported = er_reported and all(value is not None for value in with_retry.error_rate)
         total_failed_actions += sum(
             1 for o in per_retry[True] for s in o.action_stats if s.first_failed
         )
         total_rescued += sum(
             1 for o in per_retry[True] for s in o.action_stats if s.rescued
         )
-        if mx.success_rate(per_retry[False]) < mx.success_rate(per_retry[True]):
+        if mx.compile_report(per_retry[False]).sr < with_retry.sr:
             sr_drops += 1
     rescue_rate = 100.0 * total_rescued / total_failed_actions
     ok = (
@@ -455,10 +381,8 @@ def test_criterion_8_mode_ordering(worlds):
             outcomes = [
                 mx.outcome_from_record(json.loads(orc.result_to_line(result))) for _, result in runs
             ]
-            stats[mode] = (
-                mx.success_rate(outcomes),
-                mx.relative_improvement_avg(outcomes),
-            )
+            metrics = mx.compile_report(outcomes)
+            stats[mode] = (metrics.sr, metrics.ri)
             planned[mode] = sum(
                 1
                 for _, result in runs

@@ -394,6 +394,7 @@ def campaign_record():
     }
 
 
+MISSING = object()  # the key is deleted instead of given a value
 STEP = ("steps", 0)
 ATTEMPT = STEP + ("attempts", 0)
 CANDIDATE = ATTEMPT + ("candidates", 0)
@@ -423,6 +424,7 @@ CANDIDATE = ATTEMPT + ("candidates", 0)
         pytest.param(("best_seen", "relative_improvement"), float("inf"), id="ri-infinity"),
         pytest.param(CANDIDATE + ("improvement_vs_lead",), float("nan"), id="gain-nan"),
         pytest.param(("best_seen", "sim"), 10**400, id="sim-beyond-float"),
+        pytest.param(("best_seen",), MISSING, id="best-seen-missing"),
     ],
 )
 def test_report_rejects_wrongly_typed_value(tmp_path, caplog, keys, value):
@@ -430,7 +432,10 @@ def test_report_rejects_wrongly_typed_value(tmp_path, caplog, keys, value):
     target = record
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if value is MISSING:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
     path = tmp_path / "results.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     assert cli.main(["report", "--results", str(path)]) == 2
@@ -622,6 +627,10 @@ def test_tools_config_honours_profile_keys(tmp_path):
             id="string-evaluator-endpoint",
         ),
         pytest.param("--evaluators-config", "{not json", id="evaluators-not-json"),
+        pytest.param("--tools-config", '{"tools": ' + "[" * 100_000, id="tools-nested-too-deeply"),
+        pytest.param(
+            "--evaluators-config", '{"evaluators": ' + "[" * 100_000, id="evaluators-nested-too-deeply"
+        ),
     ],
 )
 def test_malformed_config_exits_2(dataset, tmp_path, flag, document):
@@ -732,6 +741,24 @@ def test_external_tool_and_evaluator_endpoints(tmp_path):
         for attempt in step["attempts"]
     }
     assert all_tools == {"chain-extender"}
+
+
+def test_report_on_a_run_whose_tools_proposed_nothing_prints_no_vr(tmp_path, capsys):
+    tools_config = tmp_path / "tools.json"
+    tools_config.write_text(
+        json.dumps({"tools": [{"tool_id": "down", "kind": "external", "endpoint": ["false"]}]}),
+        encoding="utf-8",
+    )
+    dataset = tmp_path / "data.jsonl"
+    write_dataset(dataset, [{"smiles": "CCO", "property": "plogp"}])
+    out = tmp_path / "results.jsonl"
+    argv = ["run", "--dataset", str(dataset), "--tools-config", str(tools_config), "--steps", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(out)]) == 0
+    header, row, footer = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "VR" and row.split()[-1] == "--"
+    assert "generated=0" in footer
 
 
 def test_external_tool_span_outside_the_smiles_alphabet_is_an_invalid_candidate(tmp_path):

@@ -220,6 +220,9 @@ def test_external_evaluator_rejects_non_finite_and_malformed():
         pytest.param({"values": ["abc"]}, id="text-value"),
         pytest.param({"values": [None]}, id="null-value"),
         pytest.param({"values": [True]}, id="boolean-value"),
+        pytest.param({"values": ["0.5"]}, id="numeric-string"),
+        pytest.param({"values": [" 7 "]}, id="padded-numeric-string"),
+        pytest.param({"values": [10**400]}, id="beyond-float"),
         pytest.param({"errors": [5]}, id="scalar-error-entry"),
         pytest.param({"errors": [[0]]}, id="short-error-entry"),
     ],
@@ -260,12 +263,20 @@ def test_batch_is_one_request():
         pytest.param({"values": [1.0, "abc", 3.0], "errors": []}, id="text-value"),
         pytest.param({"values": [1.0, float("inf"), 3.0]}, id="non-finite-value"),
         pytest.param({"values": [1.0, True, 3.0]}, id="boolean-value"),
+        pytest.param({"values": [1.0, "2.0", 3.0]}, id="numeric-string"),
+        pytest.param({"values": [1.0, 10**400, 3.0]}, id="beyond-float"),
     ],
 )
 def test_batch_sample_failure_fails_only_its_index(reply):
     outcomes = ev.evaluate_batch(external_spec(lambda request: reply), BATCH)
     assert isinstance(outcomes[1], ev.EvaluatorUnavailableError)
     assert [outcomes[0].value, outcomes[2].value] == [1.0, 3.0]
+
+
+def test_batch_accepts_ints_within_the_float_range():
+    reply = {"values": [2, -(10**308), 0]}
+    outcomes = ev.evaluate_batch(external_spec(lambda request: reply), BATCH)
+    assert [outcome.value for outcome in outcomes] == [2.0, -1e308, 0.0]
 
 
 def test_batch_missing_values_fail_their_indices():
