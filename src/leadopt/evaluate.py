@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .molgraph import (
@@ -135,6 +135,24 @@ class Descriptors:
     def hetero_fraction(self) -> float:
         return self.hetero / self.hac if self.hac else 0.0
 
+    def edited(self, removed: Atom | None = None, added: Atom | None = None) -> Descriptors:
+        """The record after removing one atom and adding another; either may be None.
+
+        logp becomes (logp - removed) + added, in that order, so that a
+        ranked edit scores bit-equal however it is reached. The ring fields
+        carry over.
+        """
+        logp, hac, hetero = self.logp, self.hac, self.hetero
+        if removed is not None:
+            logp -= logp_contribution(removed)
+            hac -= 1
+            hetero -= removed.element != "C"
+        if added is not None:
+            logp += logp_contribution(added)
+            hac += 1
+            hetero += added.element != "C"
+        return replace(self, logp=logp, hac=hac, hetero=hetero)
+
 
 def logp_contribution(atom: Atom) -> float:
     if atom.element == "C" and atom.aromatic:
@@ -144,8 +162,11 @@ def logp_contribution(atom: Atom) -> float:
 
 def descriptors(mol: MolGraph, property_id: str) -> Descriptors:
     """The descriptor record that property_id's surrogate reads."""
+    logp = 0.0
+    for atom in mol.atoms:  # left to right: sum() rounds differently from Python 3.12 on
+        logp += logp_contribution(atom)
     return Descriptors(
-        logp=sum(logp_contribution(atom) for atom in mol.atoms),
+        logp=logp,
         hac=len(mol.atoms),
         hetero=sum(1 for atom in mol.atoms if atom.element != "C"),
         aromatic_rings=aromatic_ring_count(mol) if property_id in LOGISTIC_COEFFICIENTS else 0,

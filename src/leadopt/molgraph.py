@@ -144,10 +144,10 @@ class Bond:
 class MolGraph:
     """Immutable heavy-atom molecular graph.
 
-    Perception results (adjacency, ring membership, the aromatic atoms that
-    take a double bond, bond-order sums, hydrogen counts), the
-    validity report, the canonical form and the fingerprint are computed
-    lazily and memoized; instances are safe to share across threads.
+    The adjacency, one perception record (ring membership, bond-order sums
+    and the validity report, from a single pass), the hydrogen counts, the
+    canonical form and the fingerprint are computed lazily and memoized;
+    instances are safe to share across threads.
     """
 
     atoms: tuple[Atom, ...]
@@ -190,65 +190,13 @@ def neighbors(mol: MolGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def ring_bond_flags(mol: MolGraph) -> tuple[bool, ...]:
-    """True for every bond that lies on a cycle (i.e. is not a bridge).
-
-    Each bond outside a spanning forest closes one cycle with the forest path
-    between its ends, and every cycle is built from these, so the ring bonds
-    are the non-forest bonds and the forest bonds on their paths.
-    """
-    if "ring_bonds" in mol._cache:
-        return mol._cache["ring_bonds"]
-    adj = neighbors(mol)
-    depth = [-1] * len(mol.atoms)
-    up = [(-1, -1)] * len(mol.atoms)  # (parent atom, forest bond); (-1, -1) at a root
-    for root in range(len(mol.atoms)):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for other, bi in adj[node]:
-                if depth[other] < 0:
-                    depth[other], up[other] = depth[node] + 1, (node, bi)
-                    stack.append(other)
-    flags = [False] * len(mol.bonds)
-    for bi, bond in enumerate(mol.bonds):
-        a, b = bond.pair
-        if up[a][1] == bi or up[b][1] == bi:
-            continue
-        flags[bi] = True
-        while a != b:  # climb from the deeper end until the two ends meet
-            if depth[a] < depth[b]:
-                a, b = b, a
-            a, forest_bond = up[a]
-            flags[forest_bond] = True
-    result = tuple(flags)
-    mol._cache["ring_bonds"] = result
-    return result
+    """True for every bond that lies on a cycle (i.e. is not a bridge)."""
+    return _perceive(mol)[0]
 
 
 def ring_atom_flags(mol: MolGraph) -> tuple[bool, ...]:
     """True for every atom on a ring bond."""
-    if "ring_atoms" in mol._cache:
-        return mol._cache["ring_atoms"]
-    flags = [False] * len(mol.atoms)
-    for bond, in_ring in zip(mol.bonds, ring_bond_flags(mol)):
-        if in_ring:
-            flags[bond.a] = True
-            flags[bond.b] = True
-    result = tuple(flags)
-    mol._cache["ring_atoms"] = result
-    return result
-
-
-def _sigma_valence(mol: MolGraph, idx: int) -> int:
-    """Bond-order sum counting aromatic bonds as single."""
-    total = 0
-    for _, bi in neighbors(mol)[idx]:
-        order = mol.bonds[bi].order
-        total += 1 if order == AROMATIC else order
-    return total
+    return _perceive(mol)[1]
 
 
 def _pi_need(mol: MolGraph, idx: int) -> int:
@@ -264,11 +212,11 @@ def _pi_need(mol: MolGraph, idx: int) -> int:
     adj = neighbors(mol)[idx]
     if any(mol.bonds[bi].order in (DOUBLE, TRIPLE) for _, bi in adj):
         return 0
+    degree = len(adj)  # the sigma valence: every bond left is single or aromatic
     if atom.explicit_h is not None or atom.formal_charge != 0:
-        sigma = _sigma_valence(mol, idx) + (atom.explicit_h or 0)
+        sigma = degree + (atom.explicit_h or 0)
         allowed = allowed_valences(atom.element, atom.formal_charge)
         return 1 if sigma + 1 in allowed else 0
-    degree = len(adj)
     if atom.element in ("C", "B"):
         return 1 if atom.element == "C" or degree == 2 else 0
     if atom.element in ("N", "P"):
@@ -340,32 +288,102 @@ def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
     return False
 
 
-def _perceive(mol: MolGraph) -> tuple[frozenset[int] | None, list[tuple[int, str, str]]]:
-    """Check aromatic bonds; returns (pi atoms, violations), pi atoms None on any violation."""
-    if "pi" in mol._cache:
-        return mol._cache["pi"]
+def _perceive(mol: MolGraph) -> tuple[tuple[bool, ...], tuple[bool, ...], tuple[int, ...], ValidityReport]:
+    """Ring bonds, ring atoms, bond-order sums and the validity report, from one pass.
+
+    One spanning forest, rooted at each unreached atom in index order, gives
+    the rings: each bond outside it closes one cycle with the forest path
+    between its ends, and every cycle is built from these, so the ring bonds
+    are the non-forest bonds and the forest bonds on their paths. Its second
+    root, if any, is the first atom unreachable from atom 0. Violations come
+    in the order connectivity, aromatic bonds, aromatic atoms, Kekulé, valence;
+    valence is checked only when the aromatic system has an assignment.
+    """
+    record = mol._cache.get("perception")
+    if record is not None:
+        return record
+    atoms, bonds, adj = mol.atoms, mol.bonds, neighbors(mol)
     violations: list[tuple[int, str, str]] = []
-    ring_bonds = ring_bond_flags(mol)
-    arom_core: dict[int, int] = {}
-    for bi, bond in enumerate(mol.bonds):
-        if bond.order != AROMATIC:
+    if not atoms:
+        violations.append((-1, "empty", "molecule has no atoms"))
+    depth = [-1] * len(atoms)
+    up = [(-1, -1)] * len(atoms)  # (parent atom, forest bond); (-1, -1) at a root
+    for root in range(len(atoms)):
+        if depth[root] >= 0:
             continue
-        for idx in bond.pair:
-            if not mol.atoms[idx].aromatic:
-                violations.append((idx, "aromatic", "aromatic bond on non-aromatic atom"))
-        if not ring_bonds[bi]:
-            violations.append((bond.a, "aromatic", "aromatic bond outside any ring"))
-        arom_core[bond.a] = arom_core.get(bond.a, 0) + 1
-        arom_core[bond.b] = arom_core.get(bond.b, 0) + 1
-    for idx, atom in enumerate(mol.atoms):
-        if atom.aromatic and arom_core.get(idx, 0) < 2:
+        if root and not violations:  # the first root after atom 0's tree
+            violations.append((root, "disconnected", "atom unreachable from atom 0"))
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for other, bi in adj[node]:
+                if depth[other] < 0:
+                    depth[other], up[other] = depth[node] + 1, (node, bi)
+                    stack.append(other)
+    ring_bonds = [False] * len(bonds)
+    ring_atoms = [False] * len(atoms)
+    for bi, bond in enumerate(bonds):
+        a, b = bond.pair
+        if up[a][1] == bi or up[b][1] == bi:
+            continue
+        ring_bonds[bi] = ring_atoms[a] = ring_atoms[b] = True
+        while a != b:  # climb from the deeper end until the two ends meet
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, forest_bond = up[a]
+            ring_bonds[forest_bond] = ring_atoms[a] = True
+
+    connectivity = len(violations)
+    sums = [0] * len(atoms)  # aromatic bonds count 1 here, pi atoms 1 more below
+    arom_core = [0] * len(atoms)
+    for bi, bond in enumerate(bonds):
+        order = bond.order
+        if order == AROMATIC:
+            for idx in bond.pair:
+                if not atoms[idx].aromatic:
+                    violations.append((idx, "aromatic", "aromatic bond on non-aromatic atom"))
+            if not ring_bonds[bi]:
+                violations.append((bond.a, "aromatic", "aromatic bond outside any ring"))
+            arom_core[bond.a] += 1
+            arom_core[bond.b] += 1
+            order = SINGLE
+        sums[bond.a] += order
+        sums[bond.b] += order
+    for idx, atom in enumerate(atoms):
+        if atom.aromatic and arom_core[idx] < 2:
             violations.append((idx, "aromatic", "aromatic atom outside an aromatic ring"))
-    pi = None if violations else _pi_atoms(mol)
-    if not violations and pi is None:
-        first = next(i for i, atom in enumerate(mol.atoms) if atom.aromatic)
-        violations.append((first, "kekulize", "no alternating bond assignment for aromatic system"))
-    mol._cache["pi"] = (pi, violations)
-    return pi, violations
+
+    pi = None
+    if len(violations) == connectivity:  # no aromatic violation
+        pi = _pi_atoms(mol)
+        if pi is None:
+            first = next(i for i, atom in enumerate(atoms) if atom.aromatic)
+            violations.append((first, "kekulize", "no alternating bond assignment for aromatic system"))
+    if pi is not None:
+        for idx in pi:
+            sums[idx] += 1
+        for idx, (atom, bondsum) in enumerate(zip(atoms, sums)):
+            allowed = allowed_valences(atom.element, atom.formal_charge)
+            if atom.explicit_h is None:
+                if bondsum > max(allowed):
+                    violations.append(
+                        (idx, "valence", f"{atom.element} bond-order sum {bondsum} exceeds {max(allowed)}")
+                    )
+            else:
+                total = bondsum + atom.explicit_h
+                if total not in allowed:
+                    violations.append(
+                        (idx, "valence", f"{atom.element} total valence {total} not in {allowed}")
+                    )
+    record = (
+        tuple(ring_bonds),
+        tuple(ring_atoms),
+        tuple(sums),
+        ValidityReport(not violations, tuple(violations)),
+    )
+    mol._cache["perception"] = record
+    return record
 
 
 def bond_order_sums(mol: MolGraph) -> tuple[int, ...]:
@@ -375,19 +393,7 @@ def bond_order_sums(mol: MolGraph) -> tuple[int, ...]:
     aromatic bond counts 1 and each pi atom 1 more; with no assignment,
     aromatic bonds count as single.
     """
-    if "bondsums" in mol._cache:
-        return mol._cache["bondsums"]
-    pi, _ = _perceive(mol)
-    sums = [0] * len(mol.atoms)
-    for bond in mol.bonds:
-        order = SINGLE if bond.order == AROMATIC else bond.order
-        sums[bond.a] += order
-        sums[bond.b] += order
-    for idx in pi or ():
-        sums[idx] += 1
-    result = tuple(sums)
-    mol._cache["bondsums"] = result
-    return result
+    return _perceive(mol)[2]
 
 
 def hydrogen_counts(mol: MolGraph) -> tuple[int, ...]:
@@ -419,48 +425,7 @@ def free_valence(mol: MolGraph, idx: int) -> int:
 
 def validate(mol: MolGraph) -> ValidityReport:
     """Check connectivity, aromatic perception, and per-atom valence."""
-    if "validity" not in mol._cache:
-        mol._cache["validity"] = _check_validity(mol)
-    return mol._cache["validity"]
-
-
-def _check_validity(mol: MolGraph) -> ValidityReport:
-    violations: list[tuple[int, str, str]] = []
-    if not mol.atoms:
-        return ValidityReport(False, ((-1, "empty", "molecule has no atoms"),))
-
-    adj = neighbors(mol)
-    seen = {0}
-    queue = [0]
-    while queue:
-        node = queue.pop()
-        for other, _ in adj[node]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    for idx in range(len(mol.atoms)):
-        if idx not in seen:
-            violations.append((idx, "disconnected", "atom unreachable from atom 0"))
-            break
-
-    pi, arom_violations = _perceive(mol)
-    violations.extend(arom_violations)
-
-    if pi is not None:
-        for idx, (atom, bondsum) in enumerate(zip(mol.atoms, bond_order_sums(mol))):
-            allowed = allowed_valences(atom.element, atom.formal_charge)
-            if atom.explicit_h is None:
-                if bondsum > max(allowed):
-                    violations.append(
-                        (idx, "valence", f"{atom.element} bond-order sum {bondsum} exceeds {max(allowed)}")
-                    )
-            else:
-                total = bondsum + atom.explicit_h
-                if total not in allowed:
-                    violations.append(
-                        (idx, "valence", f"{atom.element} total valence {total} not in {allowed}")
-                    )
-    return ValidityReport(not violations, tuple(violations))
+    return _perceive(mol)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import evaluate as ev
@@ -233,24 +233,19 @@ class _EditOption:
 def _element_change_options(
     mol: MolGraph, d: ev.Descriptors, indices, palette
 ) -> list[_EditOption]:
-    options = []
+    options, palette_atoms = [], [Atom(element) for element in palette]
     for idx in indices:
         old = mol.atoms[idx]
-        for element in palette:
-            if element == old.element:
+        for new in palette_atoms:
+            if new.element == old.element:
                 continue
-            new_d = replace(
-                d,
-                logp=d.logp - ev.logp_contribution(old) + ev.LOGP_CONTRIBUTION[element],
-                hetero=d.hetero - (old.element != "C") + (element != "C"),
-            )
 
-            def build(idx=idx, element=element):
+            def build(idx=idx, new=new):
                 atoms = list(mol.atoms)
-                atoms[idx] = Atom(element)
+                atoms[idx] = new
                 return MolGraph(tuple(atoms), mol.bonds)
 
-            options.append(_EditOption(new_d, build))
+            options.append(_EditOption(d.edited(old, new), build))
     return options
 
 
@@ -263,21 +258,15 @@ def _swap_options(
 def _attach_options(
     mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
 ) -> list[_EditOption]:
-    options = []
+    options, palette_atoms = [], [Atom(element) for element in palette]
     for anchor in _attachment_points(mol):
-        for element in palette:
-            new_d = replace(
-                d,
-                logp=d.logp + ev.LOGP_CONTRIBUTION[element],
-                hac=d.hac + 1,
-                hetero=d.hetero + (element != "C"),
-            )
+        for new in palette_atoms:
 
-            def build(anchor=anchor, element=element):
-                atoms = mol.atoms + (Atom(element),)
+            def build(anchor=anchor, new=new):
+                atoms = mol.atoms + (new,)
                 return MolGraph(atoms, mol.bonds + (Bond(anchor, len(mol.atoms), SINGLE),))
 
-            options.append(_EditOption(new_d, build))
+            options.append(_EditOption(d.edited(added=new), build))
     return options
 
 
@@ -288,14 +277,7 @@ def _remove_options(
         return []
     options = []
     for idx in _terminal_indices(mol):
-        old = mol.atoms[idx]
-        new_d = replace(
-            d,
-            logp=d.logp - ev.logp_contribution(old),
-            hac=d.hac - 1,
-            hetero=d.hetero - (old.element != "C"),
-        )
-        options.append(_EditOption(new_d, lambda idx=idx: _remove_atom(mol, idx)))
+        options.append(_EditOption(d.edited(removed=mol.atoms[idx]), lambda idx=idx: _remove_atom(mol, idx)))
     return options
 
 

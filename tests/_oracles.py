@@ -4,6 +4,13 @@
 and ``brute_force_metrics`` (criterion 3) judge campaign output from outside
 the engine, so they live beside the tests that apply them rather than in
 the package.
+
+``ring_bond_flags``, ``ring_atom_flags``, ``_perceive``, ``bond_order_sums``,
+``hydrogen_counts`` and ``_check_validity`` are ``molgraph``'s perception as
+it was before one pass computed it: a forest walk for the rings, a second
+walk for connectivity, each result under its own cache key. They are the
+reference that the single pass must reproduce; call them on a fresh copy of
+a graph, so that their cache entries stay out of the graph under test.
 """
 
 from __future__ import annotations
@@ -13,6 +20,15 @@ from dataclasses import replace
 from leadopt import evaluate as ev
 from leadopt import tools as tl
 from leadopt.buffer import TrajectoryRecord
+from leadopt.molgraph import (
+    AROMATIC,
+    SINGLE,
+    MolGraph,
+    ValidityReport,
+    _pi_atoms,
+    allowed_valences,
+    neighbors,
+)
 from leadopt.orchestrate import CampaignResult, RunConfig
 
 
@@ -140,3 +156,162 @@ def brute_force_metrics(records: list[dict]) -> dict:
         for s in range(steps)
     ]
     return {"sr": sr, "sim": sim, "ri": ri, "vr": vr, "bf": bf, "nov": nov, "er": er, "rr": rr}
+
+
+def ring_bond_flags(mol: MolGraph) -> tuple[bool, ...]:
+    """True for every bond that lies on a cycle (i.e. is not a bridge).
+
+    Each bond outside a spanning forest closes one cycle with the forest path
+    between its ends, and every cycle is built from these, so the ring bonds
+    are the non-forest bonds and the forest bonds on their paths.
+    """
+    if "ring_bonds" in mol._cache:
+        return mol._cache["ring_bonds"]
+    adj = neighbors(mol)
+    depth = [-1] * len(mol.atoms)
+    up = [(-1, -1)] * len(mol.atoms)  # (parent atom, forest bond); (-1, -1) at a root
+    for root in range(len(mol.atoms)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            for other, bi in adj[node]:
+                if depth[other] < 0:
+                    depth[other], up[other] = depth[node] + 1, (node, bi)
+                    stack.append(other)
+    flags = [False] * len(mol.bonds)
+    for bi, bond in enumerate(mol.bonds):
+        a, b = bond.pair
+        if up[a][1] == bi or up[b][1] == bi:
+            continue
+        flags[bi] = True
+        while a != b:  # climb from the deeper end until the two ends meet
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, forest_bond = up[a]
+            flags[forest_bond] = True
+    result = tuple(flags)
+    mol._cache["ring_bonds"] = result
+    return result
+
+
+def ring_atom_flags(mol: MolGraph) -> tuple[bool, ...]:
+    """True for every atom on a ring bond."""
+    if "ring_atoms" in mol._cache:
+        return mol._cache["ring_atoms"]
+    flags = [False] * len(mol.atoms)
+    for bond, in_ring in zip(mol.bonds, ring_bond_flags(mol)):
+        if in_ring:
+            flags[bond.a] = True
+            flags[bond.b] = True
+    result = tuple(flags)
+    mol._cache["ring_atoms"] = result
+    return result
+
+
+def _perceive(mol: MolGraph) -> tuple[frozenset[int] | None, list[tuple[int, str, str]]]:
+    """Check aromatic bonds; returns (pi atoms, violations), pi atoms None on any violation."""
+    if "pi" in mol._cache:
+        return mol._cache["pi"]
+    violations: list[tuple[int, str, str]] = []
+    ring_bonds = ring_bond_flags(mol)
+    arom_core: dict[int, int] = {}
+    for bi, bond in enumerate(mol.bonds):
+        if bond.order != AROMATIC:
+            continue
+        for idx in bond.pair:
+            if not mol.atoms[idx].aromatic:
+                violations.append((idx, "aromatic", "aromatic bond on non-aromatic atom"))
+        if not ring_bonds[bi]:
+            violations.append((bond.a, "aromatic", "aromatic bond outside any ring"))
+        arom_core[bond.a] = arom_core.get(bond.a, 0) + 1
+        arom_core[bond.b] = arom_core.get(bond.b, 0) + 1
+    for idx, atom in enumerate(mol.atoms):
+        if atom.aromatic and arom_core.get(idx, 0) < 2:
+            violations.append((idx, "aromatic", "aromatic atom outside an aromatic ring"))
+    pi = None if violations else _pi_atoms(mol)
+    if not violations and pi is None:
+        first = next(i for i, atom in enumerate(mol.atoms) if atom.aromatic)
+        violations.append((first, "kekulize", "no alternating bond assignment for aromatic system"))
+    mol._cache["pi"] = (pi, violations)
+    return pi, violations
+
+
+def bond_order_sums(mol: MolGraph) -> tuple[int, ...]:
+    """Per-atom bond-order sum with aromatic bonds resolved.
+
+    Any alternating assignment gives each pi atom one double bond, so an
+    aromatic bond counts 1 and each pi atom 1 more; with no assignment,
+    aromatic bonds count as single.
+    """
+    if "bondsums" in mol._cache:
+        return mol._cache["bondsums"]
+    pi, _ = _perceive(mol)
+    sums = [0] * len(mol.atoms)
+    for bond in mol.bonds:
+        order = SINGLE if bond.order == AROMATIC else bond.order
+        sums[bond.a] += order
+        sums[bond.b] += order
+    for idx in pi or ():
+        sums[idx] += 1
+    result = tuple(sums)
+    mol._cache["bondsums"] = result
+    return result
+
+
+def hydrogen_counts(mol: MolGraph) -> tuple[int, ...]:
+    """Total hydrogens per atom: explicit where given, else derived."""
+    if "hcounts" in mol._cache:
+        return mol._cache["hcounts"]
+    counts = []
+    for atom, bondsum in zip(mol.atoms, bond_order_sums(mol)):
+        if atom.explicit_h is not None:
+            counts.append(atom.explicit_h)
+            continue
+        allowed = allowed_valences(atom.element, atom.formal_charge)
+        target = min((v for v in allowed if v >= bondsum), default=bondsum)
+        counts.append(max(0, target - bondsum))
+    result = tuple(counts)
+    mol._cache["hcounts"] = result
+    return result
+
+
+def _check_validity(mol: MolGraph) -> ValidityReport:
+    violations: list[tuple[int, str, str]] = []
+    if not mol.atoms:
+        return ValidityReport(False, ((-1, "empty", "molecule has no atoms"),))
+
+    adj = neighbors(mol)
+    seen = {0}
+    queue = [0]
+    while queue:
+        node = queue.pop()
+        for other, _ in adj[node]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    for idx in range(len(mol.atoms)):
+        if idx not in seen:
+            violations.append((idx, "disconnected", "atom unreachable from atom 0"))
+            break
+
+    pi, arom_violations = _perceive(mol)
+    violations.extend(arom_violations)
+
+    if pi is not None:
+        for idx, (atom, bondsum) in enumerate(zip(mol.atoms, bond_order_sums(mol))):
+            allowed = allowed_valences(atom.element, atom.formal_charge)
+            if atom.explicit_h is None:
+                if bondsum > max(allowed):
+                    violations.append(
+                        (idx, "valence", f"{atom.element} bond-order sum {bondsum} exceeds {max(allowed)}")
+                    )
+            else:
+                total = bondsum + atom.explicit_h
+                if total not in allowed:
+                    violations.append(
+                        (idx, "valence", f"{atom.element} total valence {total} not in {allowed}")
+                    )
+    return ValidityReport(not violations, tuple(violations))

@@ -25,6 +25,27 @@ def test_plogp_large_ring_penalty():
     assert ev.BUILTIN_SURROGATES["plogp"](mol) == pytest.approx(8 * 0.14 - 2)
 
 
+def test_logp_is_summed_left_to_right():
+    # sum() of floats compensates from Python 3.12 on and gives 3.82 here; the
+    # result bytes must not depend on the interpreter.
+    mol = parse_smiles("c(cc(cc1-c(ccc(c2C(=C(C3)F)O3)F)c24)C4)c1")
+    assert ev.surrogate("plogp", mol) == 3.8200000000000003
+
+
+def test_edited_descriptors_remove_then_add():
+    d = ev.descriptors(parse_smiles("Cc1ccccc1O"), "bbbp")
+    old, new = Atom("O"), Atom("Cl")
+    swapped = d.edited(old, new)
+    assert swapped.logp == (d.logp - ev.logp_contribution(old)) + ev.logp_contribution(new)
+    assert (swapped.hac, swapped.hetero, swapped.aromatic_rings) == (d.hac, d.hetero, d.aromatic_rings)
+    removed, toluene = d.edited(removed=old), ev.descriptors(parse_smiles("Cc1ccccc1"), "bbbp")
+    assert removed.logp == pytest.approx(toluene.logp)
+    assert (removed.hac, removed.hetero) == (toluene.hac, toluene.hetero)
+    grown = d.edited(added=Atom("N"))
+    assert (grown.logp, grown.hac, grown.hetero) == (d.logp + ev.logp_contribution(Atom("N")), d.hac + 1, d.hetero + 1)
+    assert d.edited() == d
+
+
 def test_drug_likeness_peak_is_one():
     assert ev.drug_likeness_score(25, 0.3) == pytest.approx(1.0)
 

@@ -1,15 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leadopt import evaluate as ev
 from leadopt import tools as tl
+from leadopt.fingerprint import morgan_fp
 from leadopt.molgraph import (
     AROMATIC,
     DOUBLE,
     SINGLE,
+    TRIPLE,
     Atom,
     Bond,
     FragmentError,
@@ -19,16 +21,20 @@ from leadopt.molgraph import (
     SmilesSyntaxError,
     ValenceError,
     aromatic_ring_count,
+    bond_order_sums,
     canonical_form,
     free_valence,
     hydrogen_counts,
     largest_ring_size,
     parse_smiles,
+    ring_atom_flags,
+    ring_bond_flags,
     validate,
     write_smiles,
 )
 
-from _molbuild import CURATED_SMILES, permuted_copy, random_molgraph
+import _oracles as reference
+from _molbuild import CURATED_SMILES, aromatic_system, permuted_copy, random_molgraph
 from _oracles import with_flaky_probability
 
 
@@ -137,6 +143,10 @@ def test_validate_disconnected_graph():
     report = validate(mol)
     assert not report.valid
     assert report.violations[0][1] == "disconnected"
+    # The first atom unreachable from atom 0 is named, once.
+    chain_and_stray = MolGraph((Atom("C"),) * 3, (Bond(0, 2),))
+    assert validate(chain_and_stray).violations == ((1, "disconnected", "atom unreachable from atom 0"),)
+    assert validate(MolGraph((), ())).violations == ((-1, "empty", "molecule has no atoms"),)
 
 
 def test_validity_report_iff_violations():
@@ -295,3 +305,67 @@ def test_structural_invariants_enforced():
 def test_curated_corpus_parses_and_validates():
     for text in CURATED_SMILES:
         assert validate(parse_smiles(text)).valid, text
+
+
+# Plain, aromatic, charged and explicit-hydrogen atoms, so that random bonds
+# between them reach every violation rule.
+_ATOM_POOL = (
+    Atom("C"),
+    Atom("N"),
+    Atom("O"),
+    Atom("S"),
+    Atom("P"),
+    Atom("Cl"),
+    Atom("C", explicit_h=2),
+    Atom("N", formal_charge=1),
+    Atom("O", formal_charge=-1),
+    Atom("C", aromatic=True),
+    Atom("N", aromatic=True),
+    Atom("N", aromatic=True, explicit_h=1),
+    Atom("O", aromatic=True),
+    Atom("S", aromatic=True),
+    Atom("B", aromatic=True),
+)
+
+
+@st.composite
+def _any_graph(draw) -> MolGraph:
+    """Pool atoms with random bonds: often disconnected or aromatic-invalid."""
+    atoms = draw(st.lists(st.sampled_from(_ATOM_POOL), max_size=14))
+    pairs = [(a, b) for b in range(len(atoms)) for a in range(b)]
+    orders = st.sampled_from((SINGLE, SINGLE, DOUBLE, TRIPLE, AROMATIC, AROMATIC, AROMATIC))
+    bonds = draw(st.dictionaries(st.sampled_from(pairs), orders, max_size=2 * len(atoms))) if pairs else {}
+    return MolGraph(tuple(atoms), tuple(Bond(a, b, order) for (a, b), order in sorted(bonds.items())))
+
+
+_DISCONNECTED_ONLY = MolGraph((Atom("C"),) * 3, (Bond(0, 2),))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mol=st.integers(0, 2**32 - 1).map(lambda seed: random_molgraph(random.Random(seed), 1, 30))
+    | st.integers(0, 2**32 - 1).map(lambda seed: aromatic_system(random.Random(seed), 1 + seed % 4))
+    | _any_graph(),
+    relabel=st.none() | st.integers(0, 2**32 - 1),
+)
+@example(mol=MolGraph((), ()), relabel=None)
+@example(mol=_DISCONNECTED_ONLY, relabel=None)
+@example(mol=_DISCONNECTED_ONLY, relabel=1)
+def test_one_pass_equals_the_reference_perception(mol, relabel):
+    if relabel is not None:
+        mol = permuted_copy(mol, random.Random(relabel))
+    fresh = MolGraph(mol.atoms, mol.bonds)  # the reference caches under its own keys
+    assert validate(mol) == reference._check_validity(fresh)
+    assert ring_bond_flags(mol) == reference.ring_bond_flags(fresh)
+    assert ring_atom_flags(mol) == reference.ring_atom_flags(fresh)
+    assert bond_order_sums(mol) == reference.bond_order_sums(fresh)
+    assert hydrogen_counts(mol) == reference.hydrogen_counts(fresh)
+    assert set(mol._cache) <= {"adj", "perception", "hcounts"}
+
+
+def test_one_cache_entry_per_concept():
+    mol = parse_smiles("CC(=O)Nc1ccc(O)cc1")
+    validate(mol)
+    canonical_form(mol)
+    morgan_fp(mol)
+    assert set(mol._cache) == {"adj", "perception", "hcounts", "canonical", "fingerprint"}
