@@ -8,12 +8,13 @@ bytes are identical no matter how campaigns are scheduled across workers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import shlex
+import signal
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,6 @@ from . import tools as tl
 from .buffer import (
     SchemaError,
     TrajectoryBuffer,
-    TrajectoryRecord,
     json_field,
     read_json_lines,
     write_lines_atomic,
@@ -226,19 +226,106 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
+def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, run_one: Callable) -> None:
+    """Worker loop: send back run_one(index) for each index read from
+    ``pipe``, until the parent sends None or goes away.
+
+    Workers leave Ctrl-C to the parent, which terminates them. A no-op
+    handler ignores SIGINT; unlike SIG_IGN, exec resets it, so endpoint
+    processes started here still stop on Ctrl-C.
+    """
+    for end in parent_ends:  # inherited; closed so that EOF tells of the parent's exit
+        end.close()
+    signal.signal(signal.SIGINT, lambda signum, frame: None)
+    signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        for index in iter(pipe.recv, None):
+            pipe.send(run_one(index))
+
+
+def _run_in_workers(context, workers: int, run_one: Callable, entries: list[DatasetEntry]) -> list:
+    """run_one over the indices of ``entries``, in order, on ``workers``
+    forked processes. Fork hands each worker run_one and all it refers to,
+    endpoint transports and a loaded buffer included, without pickling.
+
+    Each worker has its own pipe and takes one index at a time, so the
+    load balances and no lock is shared: terminating a worker at any point
+    cannot block the others or the parent. Ctrl-C waits while the workers
+    start, so every started worker is terminated and reaped on the way
+    out. A worker that dies fails the run instead of leaving it waiting.
+    """
+    from multiprocessing.connection import wait
+
+    outcomes: list = [None] * len(entries)
+    tasks = iter(range(len(entries)))
+    workers_of = {}  # parent end of each pipe -> its worker
+    in_flight = {}  # parent end -> the index its worker runs
+
+    def feed(pipe) -> None:
+        index = next(tasks, None)
+        pipe.send(index)
+        if index is not None:
+            in_flight[pipe] = index
+
+    try:
+        sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(workers):
+                pipe, child_end = context.Pipe()
+                worker = context.Process(
+                    target=_serve, args=(child_end, sigmask, [*workers_of, pipe], run_one)
+                )
+                worker.start()
+                child_end.close()
+                workers_of[pipe] = worker
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+        for pipe in workers_of:
+            feed(pipe)
+        while in_flight:
+            for pipe in wait(list(in_flight)):
+                index = in_flight.pop(pipe)
+                try:
+                    outcomes[index] = pipe.recv()
+                except EOFError:
+                    worker = workers_of[pipe]
+                    worker.join()
+                    raise ChildProcessError(
+                        f"the worker running {entries[index].smiles} exited with code {worker.exitcode}"
+                    ) from None
+                feed(pipe)
+        return outcomes
+    except BaseException:
+        for worker in workers_of.values():
+            worker.terminate()
+        raise
+    finally:
+        for worker in workers_of.values():
+            worker.join()
+
+
 def _run_campaigns(
     args: argparse.Namespace,
     finish: Callable[[orc.CampaignResult], object],
-) -> tuple[list[tuple[DatasetEntry, object]], int]:
+) -> tuple[list[tuple[DatasetEntry, object, str | None]], int]:
     """Load the configs and the dataset, then run one campaign per entry.
 
-    Campaigns run on --jobs threads; finish(result) post-processes
-    each one in its worker. A lead whose campaign raises yields the
-    exception instead, so one lead cannot sink the run. Returns the
-    (entry, outcome) pairs in dataset order and the skipped-row count.
+    With --jobs above 1 campaigns run in that many worker processes
+    started by fork, at most one per entry; finish(result) post-processes
+    each one in its worker. A lead whose campaign raises yields its error
+    message instead, so one lead cannot sink the run. Returns the
+    (entry, outcome, error) triples in dataset order and the skipped-row
+    count.
     """
     if args.jobs < 1:
         raise orc.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1:
+        import multiprocessing
+
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError as exc:
+            raise orc.ConfigError(f"--jobs {args.jobs} needs the fork start method ({exc})") from exc
     tool_set = load_toolset(args.tools_config)
     registry = load_property_registry(args.evaluators_config)
     buffer = None
@@ -266,30 +353,36 @@ def _run_campaigns(
         for index, entry in enumerate(entries)
     ]
 
-    def run_one(pair: tuple[DatasetEntry, orc.RunConfig]) -> tuple[DatasetEntry, object]:
-        entry, config = pair
+    def run_one(index: int) -> tuple[object, str | None]:
+        """(finish(result), None), or (None, message) when the campaign
+        raises, so that no exception object crosses a process boundary."""
+        entry, config = configs[index]
         try:
-            return entry, finish(orc.run_campaign(config, entry.mol))
+            return finish(orc.run_campaign(config, entry.mol)), None
         except Exception as exc:  # per-lead failure must not sink the run
-            log.error("campaign failed for %s: %s", entry.smiles, exc)
-            return entry, exc
+            return None, str(exc)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(run_one, configs)), skipped
-    return [run_one(pair) for pair in configs], skipped
+    workers = min(args.jobs, len(entries))
+    if workers > 1:
+        outcomes = _run_in_workers(context, workers, run_one, entries)
+    else:
+        outcomes = [run_one(index) for index in range(len(entries))]
+    for entry, (_, error) in zip(entries, outcomes):
+        if error is not None:
+            log.error("campaign failed for %s: %s", entry.smiles, error)
+    return [(entry, *outcome) for entry, outcome in zip(entries, outcomes)], skipped
 
 
 def run_command(args: argparse.Namespace) -> int:
     outcomes, skipped = _run_campaigns(args, orc.result_to_line)
     lines = [
         json.dumps(
-            {"lead": entry.smiles, "property_id": entry.property_id, "error": str(outcome)},
+            {"lead": entry.smiles, "property_id": entry.property_id, "error": error},
             sort_keys=True,
         )
-        if isinstance(outcome, Exception)
-        else outcome
-        for entry, outcome in outcomes
+        if error is not None
+        else line
+        for entry, line, error in outcomes
     ]
     write_lines_atomic(args.out, lines)
     log.info("wrote %d campaign records to %s (%d rows skipped)", len(lines), args.out, skipped)
@@ -300,10 +393,10 @@ def build_buffer_command(args: argparse.Namespace) -> int:
     """Run parallel-mode campaigns over training leads and store the winners."""
     outcomes, _ = _run_campaigns(args, orc.trajectory_from_campaign)
     buffer = TrajectoryBuffer()
-    for _, outcome in outcomes:
-        # None for a campaign without a storable success, an exception for a failed one.
-        if isinstance(outcome, TrajectoryRecord):
-            buffer.insert(outcome)
+    for _, record, _ in outcomes:
+        # None for a campaign without a storable success or a failed one.
+        if record is not None:
+            buffer.insert(record)
     buffer.flush(args.out)
     log.info("stored %d/%d successful trajectories in %s", len(buffer), len(outcomes), args.out)
     return 0

@@ -1,10 +1,18 @@
+import contextlib
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
 from leadopt import cli
+from leadopt import orchestrate as orc
 from leadopt.buffer import TrajectoryBuffer
 from leadopt.molgraph import canonical_form
 
@@ -511,6 +519,205 @@ def test_per_lead_failure_does_not_sink_the_run(tmp_path, capsys):
     assert "failed_campaigns=1" in capsys.readouterr().out
 
 
+# -- worker processes ------------------------------------------------------------
+
+
+class UnpicklableError(Exception):
+    """Neither pickles (it holds a lambda) nor unpickles (two required args)."""
+
+    def __init__(self, lead, reason):
+        super().__init__(f"{reason}: {lead}")
+        self.hook = lambda: lead
+
+
+def test_failed_lead_crosses_the_jobs_boundary_as_its_message(dataset, tmp_path, monkeypatch):
+    failing = LEADS[3]
+    run_campaign = orc.run_campaign
+
+    def flaky(config, lead):
+        if canonical_form(lead) == failing:
+            raise UnpicklableError(failing, "no campaign")
+        return run_campaign(config, lead)
+
+    monkeypatch.setattr(orc, "run_campaign", flaky)  # forked workers inherit the patch
+    results = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"results-{jobs}.jsonl"
+        buffer = tmp_path / f"buffer-{jobs}.jsonl"
+        common = ["--dataset", dataset, "--seed", "42", "--jobs", jobs]
+        assert cli.main(["run", "--mode", "online", *common, "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        assert cli.main(["build-buffer", *common, "--out", str(buffer)]) == 0
+        assert multiprocessing.active_children() == []
+        results[jobs] = out.read_bytes(), buffer.read_bytes()
+        stored = TrajectoryBuffer.load(str(buffer))
+        assert len(stored) > 0
+        assert failing not in {record.lead for record in stored.records("plogp")}
+    assert results["1"] == results["2"]
+    records = [json.loads(line) for line in results["2"][0].splitlines()]
+    assert records[3] == {"error": f"no campaign: {failing}", "lead": failing, "property_id": "plogp"}
+    assert all("steps" in record for index, record in enumerate(records) if index != 3)
+
+
+def test_jobs_starts_at_most_one_worker_per_lead(tmp_path, monkeypatch):
+    dataset = tmp_path / "two.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:2]))
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = tmp_path / "results.jsonl"
+    # Python 3.12+ warns when a process with threads forks. An error filter
+    # does not fail the run there (os.fork drops the error), so record them.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--dataset", str(dataset), "--jobs", "8", "--out", str(out)]) == 0
+    assert [str(warning.message) for warning in caught] == []
+    assert forks == [os.getpid()] * 2
+    assert multiprocessing.active_children() == []
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_jobs_above_1_without_fork_exits_2(dataset, tmp_path, monkeypatch):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", dataset, "--jobs", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert cli.main(["run", "--dataset", dataset, "--jobs", "1", "--out", str(out)]) == 0
+
+
+def test_a_jobs_worker_that_dies_fails_the_run_with_status_2(dataset, tmp_path, monkeypatch, caplog):
+    parent = os.getpid()
+    run_campaign = orc.run_campaign
+
+    def dies(config, lead):
+        if canonical_form(lead) == LEADS[3] and os.getpid() != parent:
+            os._exit(3)
+        return run_campaign(config, lead)
+
+    monkeypatch.setattr(orc, "run_campaign", dies)
+    out = tmp_path / "results.jsonl"
+    assert cli.main(["run", "--dataset", dataset, "--jobs", "2", "--out", str(out)]) == 2
+    assert f"the worker running {LEADS[3]} exited with code 3" in caplog.text
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_ctrl_c_while_the_jobs_workers_start_reaps_them(dataset, tmp_path, monkeypatch):
+    forked = []
+    fork = os.fork
+
+    def fork_then_interrupt():
+        pid = fork()
+        if pid:  # in the run, Ctrl-C as soon as its first worker exists
+            forked.append(pid)
+            if len(forked) == 1:
+                os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_interrupt)
+    out = tmp_path / "results.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "--dataset", dataset, "--jobs", "2", "--out", str(out)])
+    unreaped = []
+    for pid in forked:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # the run reaped it
+        unreaped.append(pid)
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert unreaped == []
+    assert len(forked) == 2  # the interrupt waited until both workers had started
+    assert not out.exists()
+
+
+def _process_group(pgid: int) -> list[int]:
+    """The pid of every process, zombies included, in group ``pgid``."""
+    members = []
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # not a process, or one that has just gone
+        if int(fields[2]) == pgid:  # fields: state, parent pid, group
+            members.append(int(name))
+    return members
+
+
+def _start_in_own_group(tmp_path, args):
+    """``leadopt run --jobs 2`` in its own process group, as a shell starts
+    a foreground job: Ctrl-C then signals the whole group."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "leadopt", "run", "--jobs", "2", *args, "--out", str(tmp_path / "results.jsonl")]
+    return subprocess.Popen(argv, env=env, start_new_session=True, stderr=subprocess.DEVNULL)
+
+
+def _await_group(pgid, done, what):
+    deadline = time.monotonic() + 30
+    while not done(_process_group(pgid)):
+        assert time.monotonic() < deadline, f"not {what} after 30 s: {_process_group(pgid)}"
+        time.sleep(0.01)
+
+
+def _kill_group(proc):
+    if _process_group(proc.pid):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table from /proc")
+
+
+@needs_proc
+def test_ctrl_c_reaps_the_jobs_workers_and_writes_no_output(tmp_path):
+    # Each worker waits on an evaluator endpoint that sleeps for a minute.
+    eval_script = tmp_path / "eval.py"
+    eval_script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+    evaluators_config = tmp_path / "evaluators.json"
+    evaluators_config.write_text(
+        json.dumps({"evaluators": {"slow": {"endpoint": [sys.executable, str(eval_script)]}}}),
+        encoding="utf-8",
+    )
+    dataset = tmp_path / "data.jsonl"
+    write_dataset(dataset, dataset_rows("slow", LEADS[:2]))
+    proc = _start_in_own_group(tmp_path, ["--dataset", str(dataset), "--evaluators-config", str(evaluators_config)])
+    try:
+        _await_group(proc.pid, lambda group: len(group) >= 5, "two workers and two endpoints running")
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        _await_group(proc.pid, lambda group: not group, "every process gone")
+    finally:
+        _kill_group(proc)
+    assert proc.returncode != 0
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+@needs_proc
+def test_jobs_workers_exit_when_the_run_is_killed(tmp_path):
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS * 10))  # a few seconds of work
+    proc = _start_in_own_group(tmp_path, ["--mode", "parallel", "--dataset", str(dataset)])
+    try:
+        _await_group(proc.pid, lambda group: len(group) >= 3, "two workers running")
+        proc.kill()  # the run alone, as the out-of-memory killer would
+        proc.wait(timeout=30)
+        _await_group(proc.pid, lambda group: not group, "every worker gone")
+    finally:
+        _kill_group(proc)
+
+
 # -- configuration files -----------------------------------------------------------
 
 
@@ -680,7 +887,9 @@ def test_endpoint_failure_names_whole_argv(tmp_path):
 # -- external endpoints through configs ----------------------------------------------
 
 
-def test_external_tool_and_evaluator_endpoints(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=lambda jobs: f"jobs{jobs}")
+def test_external_tool_and_evaluator_endpoints(tmp_path, jobs):
+    # Two leads, so that at --jobs 2 each endpoint process starts from a forked worker.
     tool_script = tmp_path / "tool.py"
     tool_script.write_text(
         "import json, sys\n"
@@ -721,26 +930,29 @@ def test_external_tool_and_evaluator_endpoints(tmp_path):
         encoding="utf-8",
     )
     dataset = tmp_path / "data.jsonl"
-    write_dataset(dataset, [{"smiles": "CCCCCCCCCCCCCCCC", "property": "chainlen"}])
+    leads = ["CCCCCCCCCCCCCCCC", "CCCCCCCCCCCC"]
+    write_dataset(dataset, [{"smiles": lead, "property": "chainlen"} for lead in leads])
     out = tmp_path / "results.jsonl"
     code = cli.main(
         [
             "run", "--mode", "online", "--dataset", str(dataset),
             "--tools-config", str(tools_config),
             "--evaluators-config", str(evaluators_config),
-            "--steps", "2", "--out", str(out),
+            "--steps", "2", "--jobs", jobs, "--out", str(out),
         ]
     )
     assert code == 0
-    record = json.loads(out.read_text().strip())
-    assert record["best_seen"] is not None
-    assert record["invocation_count"] >= 2
-    all_tools = {
-        attempt["tool_id"]
-        for step in record["steps"]
-        for attempt in step["attempts"]
-    }
-    assert all_tools == {"chain-extender"}
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [record["lead"] for record in records] == leads
+    for record in records:
+        assert record["best_seen"] is not None
+        assert record["invocation_count"] >= 2
+        all_tools = {
+            attempt["tool_id"]
+            for step in record["steps"]
+            for attempt in step["attempts"]
+        }
+        assert all_tools == {"chain-extender"}
 
 
 def test_report_on_a_run_whose_tools_proposed_nothing_prints_no_vr(tmp_path, capsys):
@@ -791,11 +1003,12 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_golden_bytes(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=lambda jobs: f"jobs{jobs}")
+def test_golden_bytes(tmp_path, jobs):
     """The first 12 rows of the acceptance criterion-10 dataset give pinned bytes.
 
     A change of any hash is a change of the result or buffer bytes that the
-    same dataset, config and seed must reproduce.
+    same dataset, config and seed must reproduce, at any --jobs.
     """
     cycle = ("plogp", "qed", "bbbp", "hia", "mutagenicity")
     dataset = tmp_path / "leads.jsonl"
@@ -807,7 +1020,7 @@ def test_golden_bytes(tmp_path):
         ],
     )
     buffer = tmp_path / "buffer.jsonl"
-    common = ["--dataset", str(dataset), "--seed", "42"]
+    common = ["--dataset", str(dataset), "--seed", "42", "--jobs", jobs]
     assert cli.main(["build-buffer", *common, "--out", str(buffer)]) == 0
     for mode in ("online", "parallel", "retrieve"):
         out = tmp_path / f"{mode}.jsonl"
