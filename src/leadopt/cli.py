@@ -15,7 +15,7 @@ import shlex
 import signal
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import evaluate as ev
@@ -336,28 +336,31 @@ def _run_campaigns(
     entries, skipped = ingest(args.dataset, set(registry), args.property_id)
     if not entries:
         raise EmptyDatasetError(f"{args.dataset}: no usable rows ({skipped} skipped)")
+    # Built here so that a bad option fails the run before any campaign;
+    # each lead's seed is set in run_one.
     configs = [
-        (
-            entry,
-            orc.RunConfig(
-                mode=args.mode,
-                tool_set=tool_set,
-                property_spec=registry[entry.property_id],
-                steps=args.steps,
-                tau=args.tau,
-                seed=derive_seed(args.seed, canonical_form(entry.mol)),
-                buffer=buffer,
-                run_id=f"{args.mode}-s{args.seed}-{index}",
-            ),
+        orc.RunConfig(
+            mode=args.mode,
+            tool_set=tool_set,
+            property_spec=registry[entry.property_id],
+            steps=args.steps,
+            tau=args.tau,
+            buffer=buffer,
+            run_id=f"{args.mode}-s{args.seed}-{index}",
         )
         for index, entry in enumerate(entries)
     ]
 
     def run_one(index: int) -> tuple[object, str | None]:
         """(finish(result), None), or (None, message) when the campaign
-        raises, so that no exception object crosses a process boundary."""
-        entry, config = configs[index]
+        raises, so that no exception object crosses a process boundary.
+
+        The seed comes from the lead's canonical form, derived here so that
+        a slow lead holds only the worker that runs it."""
+        entry = entries[index]
         try:
+            seed = derive_seed(args.seed, canonical_form(entry.mol))
+            config = replace(configs[index], seed=seed)
             return finish(orc.run_campaign(config, entry.mol)), None
         except Exception as exc:  # per-lead failure must not sink the run
             return None, str(exc)

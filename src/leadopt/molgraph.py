@@ -14,6 +14,7 @@ maps, and multi-fragment molecules are rejected.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 # Bond order codes. AROMATIC marks bonds inside perceived aromatic rings;
@@ -434,6 +435,10 @@ def validate(mol: MolGraph) -> ValidityReport:
 
 _IMPLICIT = 0  # provisional order for bonds written without a symbol
 
+# Atoms are values, so every organic-subset token of a kind shares one Atom.
+_ORGANIC_ATOMS = {element: Atom(element) for element in ALLOWED_VALENCE}
+_AROMATIC_ATOMS = {element.lower(): Atom(element, aromatic=True) for element in AROMATIC_ELEMENTS}
+
 
 def _parse_bracket(match: re.Match) -> Atom:
     if match.group("isotope"):
@@ -512,9 +517,9 @@ def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int]]]:
     for match in _TOKEN.finditer(text):
         kind, token = match.lastgroup, match[0]
         if kind == "aromatic":
-            add_atom(Atom(element=token.upper(), aromatic=True))
+            add_atom(_AROMATIC_ATOMS[token])
         elif kind == "atom":
-            add_atom(Atom(element=token))
+            add_atom(_ORGANIC_ATOMS[token])
         elif token == "(":
             if prev is None:
                 raise SmilesSyntaxError("branch before any atom")
@@ -738,27 +743,69 @@ def _initial_keys(mol: MolGraph) -> list[tuple]:
     ]
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [order[key] for key in keys]
+def _partition(keys: list) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """The atoms ordered by key, as (labels, cells).
+
+    Atom i's label is the start of its cell: the number of atoms with a
+    smaller key. ``cells`` maps each start to that cell's atoms in index
+    order.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    labels = [0] * len(keys)
+    cells: dict[int, tuple[int, ...]] = {}
+    start = 0
+    for pos in range(1, len(order) + 1):
+        if pos == len(order) or keys[order[pos]] != keys[order[start]]:
+            cells[start] = tuple(order[start:pos])
+            for atom in cells[start]:
+                labels[atom] = start
+            start = pos
+    return labels, cells
 
 
-def _refine(mol: MolGraph, ranks: list[int]) -> list[int]:
-    adj = neighbors(mol)
-    n_classes = len(set(ranks))
-    while True:
-        keys = [
-            (
-                ranks[i],
-                tuple(sorted((mol.bonds[bi].order, ranks[j]) for j, bi in adj[i])),
+def _refine(
+    bonded: list[list[tuple[int, int]]],
+    labels: list[int],
+    cells: dict[int, tuple[int, ...]],
+    changed: Sequence[int],
+) -> None:
+    """Split cells in place until all atoms of a cell see the same labels.
+
+    ``bonded[i]`` lists atom i's (bond order, neighbour) pairs; ``changed``
+    holds the atoms relabelled since the partition was last stable. Each
+    round re-sorts, by the sorted (bond order, label) pairs of its atoms,
+    only the cells next to an atom relabelled the round before, reading the
+    labels from before the round: the atoms of any other cell still see
+    equal pairs. The first part of a split cell keeps its start, so only
+    the atoms of the later parts are relabelled.
+    """
+    while changed:
+        touched = {labels[j] for i in changed for _, j in bonded[i]}
+        relabelled = []  # starts of the later parts of split cells
+        for start in touched:
+            members = cells[start]
+            if len(members) == 1:
+                continue
+            keyed = sorted(
+                (sorted([(order, labels[j]) for order, j in bonded[i]]), i) for i in members
             )
-            for i in range(len(mol.atoms))
-        ]
-        new_ranks = _dense_ranks(keys)
-        new_classes = len(set(new_ranks))
-        if new_classes == n_classes:
-            return new_ranks
-        ranks, n_classes = new_ranks, new_classes
+            if keyed[0][0] == keyed[-1][0]:
+                continue
+            parts = [[keyed[0][1]]]
+            for (previous, _), (key, atom) in zip(keyed, keyed[1:]):
+                if key != previous:
+                    parts.append([])
+                parts[-1].append(atom)
+            cells[start] = tuple(parts[0])
+            pos = start + len(parts[0])
+            for part in parts[1:]:
+                cells[pos] = tuple(part)
+                relabelled.append(pos)
+                pos += len(part)
+        changed = [atom for start in relabelled for atom in cells[start]]
+        for start in relabelled:
+            for atom in cells[start]:
+                labels[atom] = start
 
 
 def _signature(mol: MolGraph, ranks: list[int], initial: list[tuple]) -> tuple:
@@ -774,8 +821,8 @@ def _signature(mol: MolGraph, ranks: list[int], initial: list[tuple]) -> tuple:
 
 
 class _SearchNode:
-    """One node of the canonical search: a refined ranking whose lowest tied
-    class (its cell) is individualized one atom at a time.
+    """One node of the canonical search: a refined partition whose lowest
+    tied cell is individualized one atom at a time.
 
     ``automorphisms`` holds the automorphisms found so far that fix every
     atom individualized on the way to this node, each as a dict from moved
@@ -783,15 +830,22 @@ class _SearchNode:
     as automorphisms arrive.
     """
 
-    __slots__ = ("ranks", "cell", "cursor", "explored", "automorphisms", "orbit")
+    __slots__ = ("labels", "cells", "cell", "cursor", "explored", "automorphisms", "orbit")
 
-    def __init__(self, ranks: list[int], cell: list[int], automorphisms: list[dict[int, int]]):
-        self.ranks = ranks
+    def __init__(
+        self,
+        labels: list[int],
+        cells: dict[int, tuple[int, ...]],
+        cell: tuple[int, ...],
+        automorphisms: list[dict[int, int]],
+    ):
+        self.labels = labels
+        self.cells = cells
         self.cell = cell
         self.cursor = 0
         self.explored: list[int] = []
         self.automorphisms = automorphisms
-        self.orbit = list(range(len(ranks)))
+        self.orbit = list(range(len(labels)))
         for moved in automorphisms:
             self._union(moved)
 
@@ -833,21 +887,33 @@ class _SearchNode:
         self._union(moved)
         return self._shares_orbit(self.explored[-1], self.explored[:-1])
 
-
-def _first_tied_cell(ranks: list[int]) -> list[int]:
-    classes: dict[int, list[int]] = {}
-    for i, rank in enumerate(ranks):
-        classes.setdefault(rank, []).append(i)
-    tied = [rank for rank, members in classes.items() if len(members) > 1]
-    return classes[min(tied)] if tied else []
+    def individualize(self, atom: int) -> tuple[list[int], dict[int, tuple[int, ...]], tuple[int, ...]]:
+        """(labels, cells, relabelled atoms) with ``atom`` alone at the
+        start of its cell and the rest of the cell one place after it."""
+        labels, cells = list(self.labels), dict(self.cells)
+        start = labels[atom]
+        rest = tuple(i for i in cells[start] if i != atom)
+        cells[start], cells[start + 1] = (atom,), rest
+        for i in rest:
+            labels[i] = start + 1
+        return labels, cells, rest
 
 
 def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
     """Permutation-invariant atom ranking via iterative refinement.
 
-    Remaining ties after refinement are broken by individualizing each tied
-    atom in the lowest tied class and keeping the first leaf with the
-    smallest final signature, so automorphic choices collapse to one result.
+    The atoms are ordered by their initial keys into cells, and each atom's
+    label is the start of its cell: the number of atoms in lower cells.
+    Labels order the cells as dense ranks do, so every comparison, and
+    every leaf, is the one a whole-graph refinement over dense ranks gives.
+    Refinement splits cells by the labels of their atoms' neighbours,
+    re-sorting only the cells next to an atom relabelled in the round
+    before (``_refine``). Remaining ties are
+    broken by individualizing each atom of the lowest tied cell in turn: it
+    keeps the cell's start and the rest of the cell moves one place up.
+    Among the leaves, where every cell is one atom and each label is a rank,
+    the first with the smallest final signature wins, so automorphic choices
+    collapse to one result.
 
     Two leaves with equal signatures give an automorphism: the atom of rank
     r in one maps to the atom of rank r in the other. A tied atom in the
@@ -860,22 +926,26 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
     orbit.
     """
     initial = _initial_keys(mol)
+    bonded = [[(mol.bonds[bi].order, j) for j, bi in adj] for adj in neighbors(mol)]
     seen: dict[tuple, list[int]] = {}
     best_signature: tuple | None = None
     best_ranks: list[int] = []
     path: list[_SearchNode] = []
-    ranks = _dense_ranks(initial)
+    labels, cells = _partition(initial)
+    changed: Sequence[int] = range(len(labels))
     while True:
-        ranks = _refine(mol, ranks)
-        cell = _first_tied_cell(ranks)
-        if cell:
+        _refine(bonded, labels, cells, changed)
+        tied = [start for start, members in cells.items() if len(members) > 1]
+        if tied:
             if path:
                 chosen = path[-1].explored[-1]
                 fixing = [moved for moved in path[-1].automorphisms if chosen not in moved]
             else:
                 fixing = []
-            path.append(_SearchNode(ranks, cell, fixing))
+            path.append(_SearchNode(labels, cells, cells[min(tied)], fixing))
         else:
+            # Every cell is one atom, so each label is the atom's rank.
+            ranks = labels
             signature = _signature(mol, ranks, initial)
             earlier = seen.get(signature)
             if earlier is None:
@@ -902,9 +972,7 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
         while path:
             atom = path[-1].next_atom()
             if atom is not None:
-                ranks = _dense_ranks(
-                    [(rank, 0 if i == atom else 1) for i, rank in enumerate(path[-1].ranks)]
-                )
+                labels, cells, changed = path[-1].individualize(atom)
                 break
             path.pop()
         else:
