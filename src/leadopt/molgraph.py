@@ -14,6 +14,7 @@ maps, and multi-fragment molecules are rejected.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -743,30 +744,25 @@ def _initial_keys(mol: MolGraph) -> list[tuple]:
     ]
 
 
-def _partition(keys: list) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+def _partition(keys: list) -> tuple[list[int], dict[int, list[int]]]:
     """The atoms ordered by key, as (labels, cells).
 
     Atom i's label is the start of its cell: the number of atoms with a
     smaller key. ``cells`` maps each start to that cell's atoms in index
     order.
     """
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    labels = [0] * len(keys)
-    cells: dict[int, tuple[int, ...]] = {}
-    start = 0
-    for pos in range(1, len(order) + 1):
-        if pos == len(order) or keys[order[pos]] != keys[order[start]]:
-            cells[start] = tuple(order[start:pos])
-            for atom in cells[start]:
-                labels[atom] = start
-            start = pos
+    ordered = sorted(keys)
+    labels = [bisect_left(ordered, key) for key in keys]
+    cells: dict[int, list[int]] = {}
+    for atom, start in enumerate(labels):
+        cells.setdefault(start, []).append(atom)
     return labels, cells
 
 
 def _refine(
     bonded: list[list[tuple[int, int]]],
     labels: list[int],
-    cells: dict[int, tuple[int, ...]],
+    cells: dict[int, list[int]],
     changed: Sequence[int],
 ) -> None:
     """Split cells in place until all atoms of a cell see the same labels.
@@ -796,10 +792,10 @@ def _refine(
                 if key != previous:
                     parts.append([])
                 parts[-1].append(atom)
-            cells[start] = tuple(parts[0])
+            cells[start] = parts[0]
             pos = start + len(parts[0])
             for part in parts[1:]:
-                cells[pos] = tuple(part)
+                cells[pos] = part
                 relabelled.append(pos)
                 pos += len(part)
         changed = [atom for start in relabelled for atom in cells[start]]
@@ -835,8 +831,8 @@ class _SearchNode:
     def __init__(
         self,
         labels: list[int],
-        cells: dict[int, tuple[int, ...]],
-        cell: tuple[int, ...],
+        cells: dict[int, list[int]],
+        cell: list[int],
         automorphisms: list[dict[int, int]],
     ):
         self.labels = labels
@@ -886,17 +882,6 @@ class _SearchNode:
         self.automorphisms.append(moved)
         self._union(moved)
         return self._shares_orbit(self.explored[-1], self.explored[:-1])
-
-    def individualize(self, atom: int) -> tuple[list[int], dict[int, tuple[int, ...]], tuple[int, ...]]:
-        """(labels, cells, relabelled atoms) with ``atom`` alone at the
-        start of its cell and the rest of the cell one place after it."""
-        labels, cells = list(self.labels), dict(self.cells)
-        start = labels[atom]
-        rest = tuple(i for i in cells[start] if i != atom)
-        cells[start], cells[start + 1] = (atom,), rest
-        for i in rest:
-            labels[i] = start + 1
-        return labels, cells, rest
 
 
 def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
@@ -972,7 +957,14 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
         while path:
             atom = path[-1].next_atom()
             if atom is not None:
-                labels, cells, changed = path[-1].individualize(atom)
+                # The atom keeps its cell's start; the rest of the cell
+                # moves one place up and is relabelled.
+                labels, cells = list(path[-1].labels), dict(path[-1].cells)
+                start = labels[atom]
+                changed = [i for i in cells[start] if i != atom]
+                cells[start], cells[start + 1] = [atom], changed
+                for i in changed:
+                    labels[i] = start + 1
                 break
             path.pop()
         else:
