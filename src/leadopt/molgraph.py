@@ -893,12 +893,11 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
     every leaf, is the one a whole-graph refinement over dense ranks gives.
     Refinement splits cells by the labels of their atoms' neighbours,
     re-sorting only the cells next to an atom relabelled in the round
-    before (``_refine``). Remaining ties are
-    broken by individualizing each atom of the lowest tied cell in turn: it
-    keeps the cell's start and the rest of the cell moves one place up.
-    Among the leaves, where every cell is one atom and each label is a rank,
-    the first with the smallest final signature wins, so automorphic choices
-    collapse to one result.
+    before (``_refine``). Remaining ties are broken by individualizing each
+    atom of the lowest tied cell in turn: it keeps the cell's start and the
+    rest of the cell moves one place up. Among the leaves, where every cell
+    is one atom and each label is a rank, the first with the smallest final
+    signature wins, so automorphic choices collapse to one result.
 
     Two leaves with equal signatures give an automorphism: the atom of rank
     r in one maps to the atom of rank r in the other. A tied atom in the
