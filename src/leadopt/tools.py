@@ -11,6 +11,7 @@ External tools plug in through a wire protocol; their replies are mined for
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ EDIT_STYLES = ("substitute", "add", "remove", "rearrange", "conservative", "aggr
 MAX_EMBEDDED_FAILURES = 2
 
 _SMILES_SPAN = re.compile(r"<SMILES>(.*?)</SMILES>", re.DOTALL)
-
 
 
 class ToolUnavailableError(RuntimeError):
@@ -224,10 +224,18 @@ def _remove_atom(mol: MolGraph, idx: int, new_bonds: list[Bond] = ()) -> MolGrap
 
 @dataclass
 class _EditOption:
-    """One concrete edit: a predicted descriptor record plus a builder."""
+    """One concrete edit: a predicted descriptor record plus a builder.
 
-    descriptors: ev.Descriptors | None  # None: construct the graph to score it
+    `graph` is built at most once, when scored without a record or picked.
+    It may be invalid: `remove` and `move` turn `Cn1cccc1` into `n1cccc1`.
+    """
+
+    descriptors: ev.Descriptors | None  # None: score the built graph
     build: Callable[[], MolGraph]
+
+    @functools.cached_property
+    def graph(self) -> MolGraph:
+        return self.build()
 
 
 def _element_change_options(
@@ -330,8 +338,9 @@ def _ring_append_options(
     """Close a new carbon ring between two open atoms a short path apart.
 
     Bridging existing path atoms into a fresh cycle flips their ring
-    membership, which is what makes this the large-edit profile. Graphs are
-    built eagerly (ring geometry is not a descriptor-level delta).
+    membership, which is what makes this the large-edit profile. Ring
+    geometry is not a descriptor-level delta, so each option is scored on
+    its graph, built lazily when it is scored or picked.
     """
     adj = neighbors(mol)
     open_atoms = _attachment_points(mol)
@@ -424,14 +433,10 @@ _FAMILY_BUILDERS = {
 }
 
 
-def _option_score(option: _EditOption, property_id: str, sign: float) -> float | None:
+def _option_score(option: _EditOption, property_id: str, sign: float) -> float:
     d = option.descriptors
     if d is None:
-        graph = option.build()
-        if not validate(graph).valid:
-            return None
-        option.build = lambda graph=graph: graph  # reuse the constructed graph
-        d = ev.descriptors(graph, property_id)
+        d = ev.descriptors(option.graph, property_id)
     return sign * ev.predict(property_id, d)
 
 
@@ -448,6 +453,11 @@ def _one_edit(
     predicted surrogate value is best for the objective (simulating a
     capable instruction-follower); otherwise, or when the property has no
     builtin surrogate, it takes a random applicable option.
+
+    The pick is the search's one validity check, and it is needed: taking a
+    terminal atom off a bracket atom or an aromatic n, p or b leaves an
+    invalid graph. Scoring ranks such options too; (-score, position) is a
+    total order, so skipping them here picks what leaving them out would.
     """
     d = ev.descriptors(mol, instruction.property_id)
     known_property = instruction.property_id in ev.BUILTIN_SURROGATES
@@ -456,19 +466,17 @@ def _one_edit(
         options = _FAMILY_BUILDERS[family](mol, d, profile.palette, rng)
         if not options:
             continue
-        greedy = known_property and rng.random() < profile.competence
-        if greedy:
-            scored = []
-            for position, option in enumerate(options):
-                score = _option_score(option, instruction.property_id, sign)
-                if score is not None:
-                    scored.append((-score, position))
-            order = [position for _, position in sorted(scored)]
+        if known_property and rng.random() < profile.competence:
+            scored = sorted(
+                (-_option_score(option, instruction.property_id, sign), position)
+                for position, option in enumerate(options)
+            )
+            order = [position for _, position in scored]
         else:
             order = list(range(len(options)))
             rng.shuffle(order)
         for position in order:
-            graph = options[position].build()
+            graph = options[position].graph
             if validate(graph).valid:
                 return graph
     return None
@@ -548,39 +556,25 @@ def builtin_toolset() -> tuple[ToolSpec, ...]:
             tool_id="swap",
             description="Substitutes, adds, or removes terminal substituents; halogen-leaning.",
             prompt_templates=default_templates("prefer terminal substituents"),
-            kind=ToolProfile(
-                edit_kind="swap", competence=0.95, palette=halogen_palette
-            ),
+            kind=ToolProfile(edit_kind="swap", competence=0.95, palette=halogen_palette),
         ),
         ToolSpec(
             tool_id="mutate",
             description="Mutates one atom's element in place; heteroatom-leaning.",
             prompt_templates=default_templates("prefer in-place atom changes"),
-            kind=ToolProfile(
-                edit_kind="mutate",
-                competence=0.9,
-                palette=hetero_palette,
-                aggressive_edits=2,
-            ),
+            kind=ToolProfile(edit_kind="mutate", competence=0.9, palette=hetero_palette, aggressive_edits=2),
         ),
         ToolSpec(
             tool_id="ring",
             description="Appends or contracts carbon rings; largest edits, lowest similarity.",
             prompt_templates=default_templates("prefer ring-level changes"),
-            kind=ToolProfile(
-                edit_kind="ring", competence=0.85, palette=("C",)
-            ),
+            kind=ToolProfile(edit_kind="ring", competence=0.85, palette=("C",)),
         ),
         ToolSpec(
             tool_id="flaky-swap",
             description="Terminal-substituent editor with an unreliable serializer.",
             prompt_templates=default_templates("prefer terminal substituents"),
-            kind=ToolProfile(
-                edit_kind="swap",
-                competence=0.55,
-                palette=halogen_palette,
-                p_fail=0.5,
-            ),
+            kind=ToolProfile(edit_kind="swap", competence=0.55, palette=halogen_palette, p_fail=0.5),
         ),
     )
 

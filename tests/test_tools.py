@@ -3,13 +3,13 @@ import statistics
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leadopt import evaluate as ev
 from leadopt import tools as tl
 from leadopt.fingerprint import morgan_fp, tanimoto
-from leadopt.molgraph import ParseError, parse_smiles, validate
+from leadopt.molgraph import ParseError, parse_smiles, validate, write_smiles
 
 from _molbuild import lead_pool, random_molgraph
 from _oracles import with_flaky_probability
@@ -201,6 +201,123 @@ def test_edit_option_descriptors_match_built_graph(seed, property_id):
             built = ev.descriptors(option.build(), property_id)
             assert option.descriptors.logp == pytest.approx(built.logp, abs=1e-9)
             assert replace(option.descriptors, logp=built.logp) == built
+
+
+# -- the edit search against its validate-while-scoring reference -------------
+
+# Leads whose edit options include invalid graphs: `remove` and `move` take
+# a terminal atom off a bracket atom or an aromatic n, p or b. Random leads
+# have neither, so they never reach the pick's validity check.
+INVALID_OPTION_LEADS = (
+    "C[N+](C)(C)C",
+    "N[C@@H](C)C(=O)O",
+    "Cn1cccc1",
+    "Cn1ccnc1",
+    "C[n+]1ccccc1",
+    "Cp1cccc1",
+    "Cb1cccc1",
+)
+# Every builtin surrogate ranks options; a property without one shuffles them.
+OBJECTIVES = tuple(map(ev.builtin_property, sorted(ev.BUILTIN_SURROGATES))) + (
+    ev.PropertySpec("custom", ev.MINIMIZE),
+)
+
+
+def _reference_option_score(option, property_id, sign):
+    d = option.descriptors
+    if d is None:
+        graph = option.build()
+        if not validate(graph).valid:
+            return None
+        option.build = lambda graph=graph: graph  # reuse the constructed graph
+        d = ev.descriptors(graph, property_id)
+    return sign * ev.predict(property_id, d)
+
+
+def _reference_one_edit(profile, style, mol, rng, instruction):
+    """The edit search that validated each graph it scored, and again at the pick."""
+    d = ev.descriptors(mol, instruction.property_id)
+    known_property = instruction.property_id in ev.BUILTIN_SURROGATES
+    sign = 1.0 if instruction.direction == ev.MAXIMIZE else -1.0
+    for family in tl._FAMILIES_BY_KIND_AND_STYLE[profile.edit_kind][style]:
+        options = tl._FAMILY_BUILDERS[family](mol, d, profile.palette, rng)
+        if not options:
+            continue
+        greedy = known_property and rng.random() < profile.competence
+        if greedy:
+            scored = []
+            for position, option in enumerate(options):
+                score = _reference_option_score(option, instruction.property_id, sign)
+                if score is not None:
+                    scored.append((-score, position))
+            order = [position for _, position in sorted(scored)]
+        else:
+            order = list(range(len(options)))
+            rng.shuffle(order)
+        for position in order:
+            graph = options[position].build()
+            if validate(graph).valid:
+                return graph
+    return None
+
+
+def _reference_step(profile, mol, instruction, seed):
+    rng = random.Random(seed)
+    style = tl.EDIT_STYLES[instruction.template_index]
+    result = mol
+    for _ in range(profile.aggressive_edits if style == "aggressive" else 1):
+        nxt = _reference_one_edit(profile, style, result, rng, instruction)
+        if nxt is None:
+            break
+        result = nxt
+    p_fail = tl.effective_failure_probability(profile, len(instruction.failed_cases))
+    if p_fail > 0 and rng.random() < p_fail:
+        return write_smiles(result) + "("
+    return result
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    lead=st.one_of(st.sampled_from(INVALID_OPTION_LEADS), st.integers(0, 2**32 - 1)),
+    seed=st.integers(0, 2**32 - 1),
+    objective=st.sampled_from(OBJECTIVES),
+)
+@example(lead="C[N+](C)(C)C", seed=0, objective=OBJECTIVES[0])
+@example(lead="N[C@@H](C)C(=O)O", seed=5, objective=OBJECTIVES[5])
+@example(lead="Cn1cccc1", seed=1, objective=OBJECTIVES[1])
+@example(lead="Cn1ccnc1", seed=6, objective=OBJECTIVES[2])
+@example(lead="C[n+]1ccccc1", seed=2, objective=OBJECTIVES[3])
+@example(lead="Cp1cccc1", seed=3, objective=OBJECTIVES[4])
+@example(lead="Cb1cccc1", seed=4, objective=OBJECTIVES[6])
+def test_edit_search_matches_the_validate_while_scoring_reference(lead, seed, objective):
+    # Scoring does not validate, so the greedy order ranks invalid options
+    # too; the pick skips them, and every tool makes the reference's edit.
+    mol = parse_smiles(lead) if isinstance(lead, str) else random_molgraph(random.Random(lead))
+    for spec in TOOLSET:
+        for template in range(6):
+            instruction = tl.build_instruction(spec, template, objective)
+            expected = _reference_step(spec.kind, mol, instruction, seed)
+            assert tl.simulated_tool_step(spec.kind, mol, instruction, seed) == expected
+
+
+@pytest.mark.parametrize("smiles", INVALID_OPTION_LEADS)
+def test_the_pick_check_keeps_invalid_options_out(smiles):
+    mol = parse_smiles(smiles)
+    for family in ("remove", "move"):
+        options = tl._FAMILY_BUILDERS[family](mol, ev.descriptors(mol, "qed"), ("C",), random.Random(0))
+        assert any(not validate(option.graph).valid for option in options), family
+    for spec in TOOLSET:
+        for template in range(6):
+            for objective in OBJECTIVES:
+                for seed in range(3):
+                    instruction = tl.build_instruction(spec, template, objective)
+                    out = tl.simulated_tool_step(spec.kind, mol, instruction, seed)
+                    if isinstance(out, str):
+                        assert spec.kind.p_fail > 0
+                        with pytest.raises(ParseError):
+                            parse_smiles(out)
+                    else:
+                        assert validate(out).valid, (spec.tool_id, template, write_smiles(out))
 
 
 # -- external tools ----------------------------------------------------------
