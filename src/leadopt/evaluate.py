@@ -161,17 +161,24 @@ def logp_contribution(atom: Atom) -> float:
 
 
 def descriptors(mol: MolGraph, property_id: str) -> Descriptors:
-    """The descriptor record that property_id's surrogate reads."""
-    logp = 0.0
-    for atom in mol.atoms:  # left to right: sum() rounds differently from Python 3.12 on
-        logp += logp_contribution(atom)
-    return Descriptors(
-        logp=logp,
-        hac=len(mol.atoms),
-        hetero=sum(1 for atom in mol.atoms if atom.element != "C"),
-        aromatic_rings=aromatic_ring_count(mol) if property_id in LOGISTIC_COEFFICIENTS else 0,
-        largest_ring=largest_ring_size(mol) if property_id == "plogp" else 0,
-    )
+    """The descriptor record that property_id's surrogate reads.
+
+    Memoized on the molecule, keyed by property, since the ring fields
+    differ by property.
+    """
+    key = ("descriptors", property_id)
+    if key not in mol._cache:
+        logp = 0.0
+        for atom in mol.atoms:  # left to right: sum() rounds differently from Python 3.12 on
+            logp += logp_contribution(atom)
+        mol._cache[key] = Descriptors(
+            logp=logp,
+            hac=len(mol.atoms),
+            hetero=sum(1 for atom in mol.atoms if atom.element != "C"),
+            aromatic_rings=aromatic_ring_count(mol) if property_id in LOGISTIC_COEFFICIENTS else 0,
+            largest_ring=largest_ring_size(mol) if property_id == "plogp" else 0,
+        )
+    return mol._cache[key]
 
 
 def drug_likeness_score(heavy_atoms: int, hetero: float) -> float:

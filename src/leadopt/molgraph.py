@@ -148,8 +148,11 @@ class MolGraph:
 
     The adjacency, one perception record (ring membership, bond-order sums
     and the validity report, from a single pass), the hydrogen counts, the
-    canonical form and the fingerprint are computed lazily and memoized;
-    instances are safe to share across threads.
+    canonical form, the fingerprint, the descriptor record of each property
+    (``evaluate.descriptors``) and the edit options of each tool family
+    (``tools._one_edit``) are computed lazily and memoized; each is a pure
+    function of the graph and its key, and is freed with the molecule.
+    Instances are safe to share across threads.
     """
 
     atoms: tuple[Atom, ...]
@@ -897,7 +900,9 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
     atom of the lowest tied cell in turn: it keeps the cell's start and the
     rest of the cell moves one place up. Among the leaves, where every cell
     is one atom and each label is a rank, the first with the smallest final
-    signature wins, so automorphic choices collapse to one result.
+    signature wins, so automorphic choices collapse to one result. When
+    refinement alone leaves every cell one atom, that lone leaf is the
+    result and no signature is computed.
 
     Two leaves with equal signatures give an automorphism: the atom of rank
     r in one maps to the atom of rank r in the other. A tied atom in the
@@ -930,6 +935,9 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
         else:
             # Every cell is one atom, so each label is the atom's rank.
             ranks = labels
+            if not path:
+                # Refinement alone was discrete: the one leaf wins unseen.
+                return tuple(ranks)
             signature = _signature(mol, ranks, initial)
             earlier = seen.get(signature)
             if earlier is None:

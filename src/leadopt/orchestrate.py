@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from typing import Callable
 
@@ -167,9 +167,20 @@ class CampaignState:
 
 @dataclass(frozen=True)
 class _LeadContext:
+    """The campaign's lead, and the parse checks of its candidate strings.
+
+    checked maps each candidate string to (mol, canonical, sim to the
+    lead), or to None when it does not parse, so a campaign parses and
+    fingerprints each string once. It lives here because sim depends on
+    the lead.
+    """
+
     canonical: str
     fingerprint: Fingerprint
     initial: ev.PropertyValue
+    checked: dict[str, tuple[MolGraph, str, float] | None] = field(
+        default_factory=dict, compare=False
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +320,21 @@ def _check_candidates(
     """Ordered checks per candidate: parse/validate, similarity to lead, improvement.
 
     Every valid candidate is scored in one evaluate_batch call, so an
-    external evaluator gets one request for the whole list.
+    external evaluator gets one request for the whole list, repeated
+    strings included. Parsing, canonical form and similarity are looked up
+    in lead.checked.
     """
-    parsed: list[tuple[MolGraph, str, float] | None] = []
+    parsed = []
     for smiles in smiles_list:
-        try:
-            mol = parse_smiles(smiles)
-        except ParseError:
-            parsed.append(None)
-            continue
-        parsed.append((mol, canonical_form(mol), tanimoto(morgan_fp(mol), lead.fingerprint)))
+        if smiles not in lead.checked:
+            try:
+                mol = parse_smiles(smiles)
+            except ParseError:
+                lead.checked[smiles] = None
+            else:
+                sim = tanimoto(morgan_fp(mol), lead.fingerprint)
+                lead.checked[smiles] = (mol, canonical_form(mol), sim)
+        parsed.append(lead.checked[smiles])
     outcomes = iter(
         ev.evaluate_batch(config.property_spec, [entry[0] for entry in parsed if entry is not None])
     )
@@ -545,7 +561,13 @@ def run_campaign(config: RunConfig, lead_mol: MolGraph) -> CampaignResult:
         fingerprint=morgan_fp(lead_mol),
         initial=ev.evaluate(config.property_spec, lead_mol),
     )
-    state = CampaignState(molecule=lead_mol, canonical=lead.canonical)
+    # Tool calls memoize edit options on the molecule they edit. The
+    # campaign edits a copy with its own memo, which starts from the
+    # records above, so the options go with the campaign and are not kept
+    # by the caller's molecule.
+    state = CampaignState(
+        molecule=replace(lead_mol, _cache=dict(lead_mol._cache)), canonical=lead.canonical
+    )
     steps: list[StepRecord] = []
     for step_index in range(config.steps):
         steps.append(run_step(config, state, lead, step_index))

@@ -208,18 +208,18 @@ def _attachment_points(mol: MolGraph) -> list[int]:
     ]
 
 
-def _remove_atom(mol: MolGraph, idx: int, new_bonds: list[Bond] = ()) -> MolGraph:
-    atoms = tuple(a for i, a in enumerate(mol.atoms) if i != idx)
-
+def _remove_atom(atoms, bonds, idx: int, new_bonds: list[Bond] = ()) -> MolGraph:
     def remap(i: int) -> int:
         return i - 1 if i > idx else i
 
-    bonds = tuple(
-        Bond(remap(b.a), remap(b.b), b.order)
-        for b in (*mol.bonds, *new_bonds)
-        if idx not in b.pair
+    return MolGraph(
+        tuple(a for i, a in enumerate(atoms) if i != idx),
+        tuple(
+            Bond(remap(b.a), remap(b.b), b.order)
+            for b in (*bonds, *new_bonds)
+            if idx not in b.pair
+        ),
     )
-    return MolGraph(atoms, bonds)
 
 
 @dataclass
@@ -228,6 +228,11 @@ class _EditOption:
 
     `graph` is built at most once, when scored without a record or picked.
     It may be invalid: `remove` and `move` turn `Cn1cccc1` into `n1cccc1`.
+    Options are memoized on the molecule they edit (see `_one_edit`), so
+    every tool call on that molecule shares the built graphs and their
+    records. A builder therefore captures the molecule's atom and bond
+    tuples, never the molecule: a reference back from its own memo would
+    make a cycle, and only a full garbage collection would free it.
     """
 
     descriptors: ev.Descriptors | None  # None: score the built graph
@@ -242,16 +247,15 @@ def _element_change_options(
     mol: MolGraph, d: ev.Descriptors, indices, palette
 ) -> list[_EditOption]:
     options, palette_atoms = [], [Atom(element) for element in palette]
+    atoms, bonds = mol.atoms, mol.bonds
     for idx in indices:
-        old = mol.atoms[idx]
+        old = atoms[idx]
         for new in palette_atoms:
             if new.element == old.element:
                 continue
 
             def build(idx=idx, new=new):
-                atoms = list(mol.atoms)
-                atoms[idx] = new
-                return MolGraph(tuple(atoms), mol.bonds)
+                return MolGraph(atoms[:idx] + (new,) + atoms[idx + 1 :], bonds)
 
             options.append(_EditOption(d.edited(old, new), build))
     return options
@@ -267,12 +271,12 @@ def _attach_options(
     mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
 ) -> list[_EditOption]:
     options, palette_atoms = [], [Atom(element) for element in palette]
+    atoms, bonds = mol.atoms, mol.bonds
     for anchor in _attachment_points(mol):
         for new in palette_atoms:
 
             def build(anchor=anchor, new=new):
-                atoms = mol.atoms + (new,)
-                return MolGraph(atoms, mol.bonds + (Bond(anchor, len(mol.atoms), SINGLE),))
+                return MolGraph(atoms + (new,), bonds + (Bond(anchor, len(atoms), SINGLE),))
 
             options.append(_EditOption(d.edited(added=new), build))
     return options
@@ -283,9 +287,9 @@ def _remove_options(
 ) -> list[_EditOption]:
     if len(mol.atoms) <= 2:
         return []
-    options = []
+    options, atoms, bonds = [], mol.atoms, mol.bonds
     for idx in _terminal_indices(mol):
-        options.append(_EditOption(d.edited(removed=mol.atoms[idx]), lambda idx=idx: _remove_atom(mol, idx)))
+        options.append(_EditOption(d.edited(removed=atoms[idx]), lambda idx=idx: _remove_atom(atoms, bonds, idx)))
     return options
 
 
@@ -293,7 +297,7 @@ def _move_options(
     mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
 ) -> list[_EditOption]:
     adj = neighbors(mol)
-    options = []
+    options, atoms, bonds = [], mol.atoms, mol.bonds
     anchors = _attachment_points(mol)
     for idx in _terminal_indices(mol):
         neighbor = adj[idx][0][0]
@@ -302,11 +306,10 @@ def _move_options(
                 continue
 
             def build(idx=idx, anchor=anchor):
-                trimmed = _remove_atom(mol, idx)
+                trimmed = _remove_atom(atoms, bonds, idx)
                 new_anchor = anchor - 1 if anchor > idx else anchor
-                atoms = trimmed.atoms + (Atom(mol.atoms[idx].element),)
                 return MolGraph(
-                    atoms,
+                    trimmed.atoms + (Atom(atoms[idx].element),),
                     trimmed.bonds + (Bond(new_anchor, len(trimmed.atoms), SINGLE),),
                 )
 
@@ -332,16 +335,8 @@ def _mutate_options(
     return options
 
 
-def _ring_append_options(
-    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
-) -> list[_EditOption]:
-    """Close a new carbon ring between two open atoms a short path apart.
-
-    Bridging existing path atoms into a fresh cycle flips their ring
-    membership, which is what makes this the large-edit profile. Ring
-    geometry is not a descriptor-level delta, so each option is scored on
-    its graph, built lazily when it is scored or picked.
-    """
+def _ring_pairs(mol: MolGraph) -> list[tuple[int, int]]:
+    """Unbonded pairs of open atoms 2-4 bonds apart, in atom order."""
     adj = neighbors(mol)
     open_atoms = _attachment_points(mol)
     bonded = {b.pair for b in mol.bonds}
@@ -360,25 +355,49 @@ def _ring_append_options(
         for partner in open_atoms[position + 1 :]:
             if 2 <= distances.get(partner, 99) <= 4 and (start, partner) not in bonded:
                 pairs.append((start, partner))
-    if not pairs:
-        return []
-    if len(pairs) > 4:
-        pairs = rng.sample(pairs, 4)
-    options = []
-    for start, partner in pairs:
-        for length in (1, 2, 3):
+    return pairs
 
-            def build(start=start, partner=partner, length=length):
-                base = len(mol.atoms)
-                atoms = mol.atoms + tuple(Atom("C") for _ in range(length))
-                new_bonds = [Bond(start, base, SINGLE)]
-                for k in range(length - 1):
-                    new_bonds.append(Bond(base + k, base + k + 1, SINGLE))
-                new_bonds.append(Bond(base + length - 1, partner, SINGLE))
-                return MolGraph(atoms, mol.bonds + tuple(new_bonds))
 
-            options.append(_EditOption(None, build))
-    return options
+def _closed_ring(atoms, bonds, start: int, partner: int, length: int) -> MolGraph:
+    base = len(atoms)
+    new_bonds = [Bond(start, base, SINGLE)]
+    for k in range(length - 1):
+        new_bonds.append(Bond(base + k, base + k + 1, SINGLE))
+    new_bonds.append(Bond(base + length - 1, partner, SINGLE))
+    return MolGraph(atoms + tuple(Atom("C") for _ in range(length)), bonds + tuple(new_bonds))
+
+
+def _ring_append_options(
+    mol: MolGraph, d: ev.Descriptors, palette, rng: random.Random
+) -> list[_EditOption]:
+    """Close a new carbon ring between two open atoms a short path apart.
+
+    Bridging existing path atoms into a fresh cycle flips their ring
+    membership, which is what makes this the large-edit profile. Ring
+    geometry is not a descriptor-level delta, so each option is scored on
+    its graph, built lazily when it is scored or picked.
+
+    This is the one family that draws from rng: four of the pairs when
+    there are more. The sample is drawn on every call, so a tool step draws
+    the same numbers in the same order whatever calls came before it on the
+    molecule. Only the deterministic part is memoized on the molecule: one
+    option per (start, partner, length), grouped by pair, so each ring
+    graph is built, perceived and scored once per molecule. A sample of the
+    groups picks what a sample of the pairs did, since it depends only on
+    the population's length.
+    """
+    groups = mol._cache.get("ring_append")
+    if groups is None:
+        groups = mol._cache["ring_append"] = [
+            tuple(
+                _EditOption(None, functools.partial(_closed_ring, mol.atoms, mol.bonds, start, partner, length))
+                for length in (1, 2, 3)
+            )
+            for start, partner in _ring_pairs(mol)
+        ]
+    if len(groups) > 4:
+        groups = rng.sample(groups, 4)
+    return [option for group in groups for option in group]
 
 
 def _ring_contract_options(
@@ -387,8 +406,8 @@ def _ring_contract_options(
     adj = neighbors(mol)
     ring = ring_atom_flags(mol)
     bonded = {b.pair for b in mol.bonds}
-    options = []
-    for i, atom in enumerate(mol.atoms):
+    options, atoms, bonds = [], mol.atoms, mol.bonds
+    for i, atom in enumerate(atoms):
         if not ring[i] or not _plain(atom) or len(adj[i]) != 2:
             continue
         (n1, b1), (n2, b2) = adj[i]
@@ -397,7 +416,7 @@ def _ring_contract_options(
         if (min(n1, n2), max(n1, n2)) in bonded:
             continue
         options.append(
-            _EditOption(None, lambda i=i, n1=n1, n2=n2: _remove_atom(mol, i, [Bond(n1, n2, SINGLE)]))
+            _EditOption(None, lambda i=i, n1=n1, n2=n2: _remove_atom(atoms, bonds, i, [Bond(n1, n2, SINGLE)]))
         )
     return options
 
@@ -458,12 +477,25 @@ def _one_edit(
     terminal atom off a bracket atom or an aromatic n, p or b leaves an
     invalid graph. Scoring ranks such options too; (-score, position) is a
     total order, so skipping them here picks what leaving them out would.
+
+    Each family's option list is memoized on the molecule, keyed by
+    (family, palette, property): the records of element changes,
+    attachments, removals and moves are edits of the molecule's record for
+    the property, whose ring fields differ by property. Every option is a
+    pure function of that key, so repeated tool calls on one molecule rank
+    and pick among equal options. `ring_append` draws from rng and is
+    called every time; it memoizes its own deterministic part.
     """
     d = ev.descriptors(mol, instruction.property_id)
     known_property = instruction.property_id in ev.BUILTIN_SURROGATES
     sign = 1.0 if instruction.direction == ev.MAXIMIZE else -1.0
     for family in _FAMILIES_BY_KIND_AND_STYLE[profile.edit_kind][style]:
-        options = _FAMILY_BUILDERS[family](mol, d, profile.palette, rng)
+        key = (family, profile.palette, instruction.property_id)
+        options = mol._cache.get(key)
+        if options is None:
+            options = _FAMILY_BUILDERS[family](mol, d, profile.palette, rng)
+            if family != "ring_append":  # its sample is drawn on every call
+                mol._cache[key] = options
         if not options:
             continue
         if known_property and rng.random() < profile.competence:

@@ -180,6 +180,25 @@ def test_cell_local_refinement_matches_the_reference_on_random_graphs(seed):
     assert canonical_ranks(relabelled) == _unpruned_ranks(relabelled)
 
 
+def test_a_lone_leaf_needs_no_signature(monkeypatch):
+    # When refinement alone splits every cell, nothing is individualized,
+    # and the one leaf has no other leaf to be compared with.
+    signature = mg._signature
+    for text, searched in (("CCO", False), ("CC(C)(C)c1ccc(cc1)C(C)(C)C", True)):
+        mol = parse_smiles(text)
+        expected = _unpruned_ranks(mol)
+        calls = []
+
+        def counting_signature(*args):
+            calls.append(args)
+            return signature(*args)
+
+        monkeypatch.setattr(mg, "_signature", counting_signature)
+        assert canonical_ranks(mol) == expected
+        monkeypatch.setattr(mg, "_signature", signature)
+        assert bool(calls) == searched, text
+
+
 @pytest.mark.parametrize("rings", [2, 10, 40, 99])
 def test_linked_phenyls_canonicalize_in_bounded_time(rings):
     # Each ring flips on its own, so the search individualizes about

@@ -329,6 +329,16 @@ def test_best_seen_tie_goes_to_earliest_step():
         assert result.best_seen.step_index == min(earlier)
 
 
+def test_a_campaign_leaves_no_edit_options_on_the_lead():
+    # The campaign memoizes edit options on a copy of the lead, so the
+    # caller's molecule keeps only the records computed from it directly.
+    lead = parse_smiles(write_smiles(LEAD))
+    reference = parse_smiles(write_smiles(LEAD))
+    canonical_form(reference), morgan_fp(reference), ev.evaluate(PLOGP, reference)
+    orc.run_campaign(config_for("parallel"), lead)
+    assert lead._cache.keys() == reference._cache.keys()
+
+
 def test_campaign_determinism():
     config = config_for("parallel", steps=3, seed=123)
     first = orc.run_campaign(config, LEAD)
@@ -394,6 +404,37 @@ def test_one_evaluator_request_per_step_phase():
                 expected.append(phase)
     assert requests == expected
     assert any(attempt.retry for step in result.steps for attempt in step.attempts)
+
+
+def test_candidate_checks_are_memoized_per_campaign(monkeypatch):
+    # A campaign parses and fingerprints each candidate string once, but
+    # the evaluator still receives every valid candidate, repeats included.
+    smiles_list = ["CCO", "C1CC", "OCC", "CCO", "C1CC", "Clc1ccccc1", "OCC", "CCO"]
+    requests = []
+    spec = ev.PropertySpec("size", ev.MAXIMIZE, ev.ExternalEvaluator("size", seeded_transport(5, requests)))
+    config = config_for("online", property_spec=spec, tau=0.0)
+
+    def context():
+        return orc._LeadContext(canonical_form(LEAD), morgan_fp(LEAD), ev.PropertyValue(0.5, "size"))
+
+    expected = [orc._check_candidates([smiles], config, context())[0] for smiles in smiles_list]
+    assert [check.valid for check in expected] == [True, False, True, True, False, True, True, True]
+    valid = [write_smiles(parse_smiles(s)) for s, check in zip(smiles_list, expected) if check.valid]
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_smiles(text)
+
+    monkeypatch.setattr(orc, "parse_smiles", counting_parse)
+    requests.clear()
+    lead = context()
+    assert orc._check_candidates(smiles_list, config, lead) == expected
+    assert sorted(parsed) == sorted(set(smiles_list))
+    parsed.clear()
+    assert orc._check_candidates(smiles_list, config, lead) == expected
+    assert parsed == []
+    assert requests == [valid, valid]
 
 
 class OneSmilesPerRequest:

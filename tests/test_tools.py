@@ -1,5 +1,7 @@
+import gc
 import random
 import statistics
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from leadopt import evaluate as ev
 from leadopt import tools as tl
 from leadopt.fingerprint import morgan_fp, tanimoto
-from leadopt.molgraph import ParseError, parse_smiles, validate, write_smiles
+from leadopt.molgraph import MolGraph, ParseError, parse_smiles, validate, write_smiles
 
 from _molbuild import lead_pool, random_molgraph
 from _oracles import with_flaky_probability
@@ -318,6 +320,100 @@ def test_the_pick_check_keeps_invalid_options_out(smiles):
                             parse_smiles(out)
                     else:
                         assert validate(out).valid, (spec.tool_id, template, write_smiles(out))
+
+
+# -- records memoized on the molecule ------------------------------------------
+
+# Hexane has nine ring-append pairs, so each ring_append call samples four;
+# the other two have invalid options.
+MEMO_LEADS = ("CCCCCC", "Cn1cccc1", "C[N+](C)(C)C")
+MEMO_OBJECTIVES = tuple(map(ev.builtin_property, ("plogp", "qed", "mutagenicity"))) + (
+    ev.PropertySpec("custom", ev.MINIMIZE),
+)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    lead=st.one_of(st.sampled_from(MEMO_LEADS), st.integers(0, 2**32 - 1)),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+    order=st.randoms(use_true_random=False),
+)
+@example(lead="CCCCCC", seeds=[0, 1], order=random.Random(0))
+@example(lead="Cn1cccc1", seeds=[2, 3], order=random.Random(1))
+@example(lead="C[N+](C)(C)C", seeds=[4, 5], order=random.Random(2))
+def test_tool_calls_sharing_a_molecule_match_calls_on_fresh_copies(lead, seeds, order):
+    # Edit options and descriptor records are memoized on the molecule; a
+    # call must return what it returns on a copy with nothing memoized,
+    # whatever calls came before it.
+    mol = parse_smiles(lead) if isinstance(lead, str) else random_molgraph(random.Random(lead))
+    assert lead != "CCCCCC" or len(tl._ring_pairs(mol)) > 4
+    calls = [
+        (spec, tl.build_instruction(spec, template, objective), seed)
+        for spec in TOOLSET
+        for template in range(6)
+        for objective in MEMO_OBJECTIVES
+        for seed in seeds
+    ]
+    order.shuffle(calls)
+    for spec, instruction, seed in calls:
+        fresh = MolGraph(mol.atoms, mol.bonds)
+        expected = tl.simulated_tool_step(spec.kind, fresh, instruction, seed)
+        assert tl.simulated_tool_step(spec.kind, mol, instruction, seed) == expected
+
+
+def test_memoized_records_are_keyed_by_property(monkeypatch):
+    # Records for qed carry no ring fields; plogp reads the largest ring,
+    # here the 8-ring. A plogp call after a qed call on one molecule must
+    # score and pick as on a fresh copy.
+    mol = parse_smiles("CC1CCCCCCC1")
+    ev.surrogate("qed", mol)
+    fresh = MolGraph(mol.atoms, mol.bonds)
+    assert ev.descriptors(mol, "plogp") == ev.descriptors(fresh, "plogp")
+    assert ev.surrogate("plogp", mol) == ev.surrogate("plogp", fresh)
+
+    scores = []
+    score = tl._option_score
+
+    def recording_score(option, property_id, sign):
+        scores.append(score(option, property_id, sign))
+        return scores[-1]
+
+    monkeypatch.setattr(tl, "_option_score", recording_score)
+    qed = ev.builtin_property("qed")
+    for spec in TOOLSET:
+        for template in range(6):
+            for seed in range(3):
+                tl.simulated_tool_step(spec.kind, mol, tl.build_instruction(spec, template, qed), seed)
+    outcomes = {}
+    for target in (mol, fresh):
+        scores.clear()
+        results = [
+            tl.simulated_tool_step(spec.kind, target, tl.build_instruction(spec, template, PLOGP), seed)
+            for spec in TOOLSET
+            for template in range(6)
+            for seed in range(3)
+        ]
+        outcomes[target is mol] = (results, list(scores))
+    assert scores
+    assert outcomes[True] == outcomes[False]
+
+
+def test_memoized_options_do_not_keep_their_molecule_alive():
+    # The options live in the molecule's memo. A builder that referred back
+    # to the molecule would make a cycle, which only a full garbage
+    # collection frees; plain reference counting must free it here.
+    mol = parse_smiles("CC(C)Cc1ccc(C(C)C(=O)O)cc1")
+    for spec in TOOLSET:
+        for template in range(6):
+            tl.simulated_tool_step(spec.kind, mol, tl.build_instruction(spec, template, PLOGP), 0)
+    assert "ring_append" in mol._cache
+    alive = weakref.ref(mol)
+    gc.disable()
+    try:
+        del mol
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # -- external tools ----------------------------------------------------------
