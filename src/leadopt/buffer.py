@@ -4,7 +4,9 @@ Records successful optimization trajectories (tool/prompt sequences plus
 per-step outcomes), partitioned by property. Retrieval is an exact linear
 scan over the queried partition; ties at equal similarity prefer the larger
 final improvement, then the lexicographically smaller lead. Files are
-line-delimited JSON, written atomically (write-new-then-rename).
+line-delimited JSON, written atomically (write-new-then-rename), and read in
+two passes: read_records parses the lines, verify_records checks each stored
+fingerprint against its lead.
 """
 
 from __future__ import annotations
@@ -116,19 +118,60 @@ class TrajectoryBuffer:
 
     @classmethod
     def load(cls, path: str, verify: bool = True) -> "TrajectoryBuffer":
-        """Read a buffer file; verifies stored fingerprints against leads."""
+        """Read a buffer file (read_records), then, with verify, check each
+        stored fingerprint against its lead (verify_records).
+
+        Raises SchemaError naming the first failing ``path:line``: a line
+        that fails verification comes before the malformed line that ended
+        reading, since only the lines read are verified.
+        """
+        records, failure = read_records(path)
+        if verify:
+            failure = verify_records(records) or failure
+        if failure is not None:
+            raise line_error(path, failure)
         buffer = cls()
-        for lineno, data in read_json_lines(path):
-            try:
-                if isinstance(data, ValueError):
-                    raise SchemaError(str(data))
-                record = record_from_dict(data)
-                if verify and morgan_fp(parse_smiles(record.lead)) != record.lead_fp:
-                    raise SchemaError("stored fingerprint does not match lead")
-                buffer.insert(record)
-            except (SchemaError, ParseError) as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        for _, record in records:
+            buffer.insert(record)
         return buffer
+
+
+# (line number, message) of a buffer line that failed to read or verify.
+LineFailure = tuple[int, str]
+
+
+def line_error(path: str, failure: LineFailure) -> SchemaError:
+    lineno, message = failure
+    return SchemaError(f"{path}:{lineno}: {message}")
+
+
+def read_records(path: str) -> tuple[list[tuple[int, TrajectoryRecord]], LineFailure | None]:
+    """(line number, record) for each line of a buffer file, in file order,
+    up to the first malformed line, and that line's failure (None if every
+    line reads). Stored fingerprints are taken as written; see verify_records.
+    """
+    records = []
+    for lineno, data in read_json_lines(path):
+        try:
+            if isinstance(data, ValueError):
+                raise SchemaError(str(data))
+            records.append((lineno, record_from_dict(data)))
+        except SchemaError as exc:
+            return records, (lineno, str(exc))
+    return records, None
+
+
+def verify_records(records: list[tuple[int, TrajectoryRecord]]) -> LineFailure | None:
+    """The first record whose lead does not parse, or whose fingerprint,
+    computed afresh, differs from the stored one; None if every record holds.
+    """
+    for lineno, record in records:
+        try:
+            if morgan_fp(parse_smiles(record.lead)) != record.lead_fp:
+                return lineno, "stored fingerprint does not match lead"
+        except ParseError as exc:
+            return lineno, str(exc)
+    return None
 
 
 def write_lines_atomic(path: str, lines: list[str]) -> None:

@@ -26,7 +26,10 @@ from .buffer import (
     SchemaError,
     TrajectoryBuffer,
     json_field,
+    line_error,
     read_json_lines,
+    read_records,
+    verify_records,
     write_lines_atomic,
 )
 from .molgraph import MolGraph, ParseError, canonical_form, parse_smiles
@@ -243,7 +246,90 @@ def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, run_one: Calla
             pipe.send(run_one(index))
 
 
-def _run_in_workers(context, workers: int, run_one: Callable, entries: list[DatasetEntry]) -> list:
+@contextlib.contextmanager
+def _sigint_deferred():
+    """Block SIGINT in the body and yield the mask to restore. A Ctrl-C
+    that arrives meanwhile is raised on leaving the body, so a process
+    started in it is always known to the code that reaps it."""
+    sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield sigmask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+
+
+def _start_worker(context, sigmask: set[signal.Signals], parent_ends: list, run_one: Callable):
+    """Fork a process that runs _serve over run_one, inside _sigint_deferred.
+
+    ``parent_ends`` are the parent's ends of the pipes of processes started
+    before it, which the new process closes. Returns the parent's end of
+    its own pipe and the process.
+    """
+    pipe, child_end = context.Pipe()
+    worker = context.Process(target=_serve, args=(child_end, sigmask, [*parent_ends, pipe], run_one))
+    worker.start()
+    child_end.close()
+    return pipe, worker
+
+
+class _Verifier:
+    """One forked process that runs buffer.verify_records on the records of
+    a buffer file while the campaigns run.
+
+    It is served by _serve with a single request, and its one reply is the
+    verdict: take() reads it once, closes the pipe so that the verifier
+    exits, and raises for a failing line or a verifier that died. reap()
+    ends a verifier whose verdict is still pending, and waits for it.
+    """
+
+    def __init__(self, context, path: str, records: list) -> None:
+        self.path = path
+        self.process = None
+        try:
+            with _sigint_deferred() as sigmask:
+                self.pipe, self.process = _start_worker(
+                    context, sigmask, [], lambda _: verify_records(records)
+                )
+            self.pipe.send(0)
+        except BaseException:
+            if self.process is not None:
+                self.reap()
+            raise
+
+    @property
+    def pending(self) -> bool:
+        return not self.pipe.closed
+
+    def poll(self) -> None:
+        """take() the verdict if it has arrived."""
+        if self.pending and self.pipe.poll():
+            self.take()
+
+    def take(self) -> None:
+        """Wait for the verdict, unless it was taken already."""
+        if not self.pending:
+            return
+        try:
+            failure = self.pipe.recv()
+        except EOFError:
+            self.reap()
+            raise ChildProcessError(
+                f"the verifier of {self.path} exited with code {self.process.exitcode}"
+            ) from None
+        self.pipe.close()
+        if failure is not None:
+            raise line_error(self.path, failure)
+
+    def reap(self) -> None:
+        if self.pending:
+            self.process.terminate()
+            self.pipe.close()
+        self.process.join()
+
+
+def _run_in_workers(
+    context, workers: int, run_one: Callable, entries: list[DatasetEntry], verifier: _Verifier | None
+) -> list:
     """run_one over the indices of ``entries``, in order, on ``workers``
     forked processes. Fork hands each worker run_one and all it refers to,
     endpoint transports and a loaded buffer included, without pickling.
@@ -253,6 +339,8 @@ def _run_in_workers(context, workers: int, run_one: Callable, entries: list[Data
     cannot block the others or the parent. Ctrl-C waits while the workers
     start, so every started worker is terminated and reaped on the way
     out. A worker that dies fails the run instead of leaving it waiting.
+    The verifier's verdict is taken as soon as it arrives; a failing line
+    terminates the workers.
     """
     from multiprocessing.connection import wait
 
@@ -260,6 +348,7 @@ def _run_in_workers(context, workers: int, run_one: Callable, entries: list[Data
     tasks = iter(range(len(entries)))
     workers_of = {}  # parent end of each pipe -> its worker
     in_flight = {}  # parent end -> the index its worker runs
+    inherited = [verifier.pipe] if verifier is not None and verifier.pending else []
 
     def feed(pipe) -> None:
         index = next(tasks, None)
@@ -268,22 +357,20 @@ def _run_in_workers(context, workers: int, run_one: Callable, entries: list[Data
             in_flight[pipe] = index
 
     try:
-        sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
+        with _sigint_deferred() as sigmask:
             for _ in range(workers):
-                pipe, child_end = context.Pipe()
-                worker = context.Process(
-                    target=_serve, args=(child_end, sigmask, [*workers_of, pipe], run_one)
-                )
-                worker.start()
-                child_end.close()
+                pipe, worker = _start_worker(context, sigmask, [*inherited, *workers_of], run_one)
                 workers_of[pipe] = worker
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
         for pipe in workers_of:
             feed(pipe)
         while in_flight:
-            for pipe in wait(list(in_flight)):
+            watched = [*in_flight]
+            if verifier is not None and verifier.pending:
+                watched.append(verifier.pipe)
+            for pipe in wait(watched):
+                if pipe not in in_flight:
+                    verifier.take()
+                    continue
                 index = in_flight.pop(pipe)
                 try:
                     outcomes[index] = pipe.recv()
@@ -308,31 +395,75 @@ def _run_campaigns(
     args: argparse.Namespace,
     finish: Callable[[orc.CampaignResult], object],
 ) -> tuple[list[tuple[DatasetEntry, object, str | None]], int]:
-    """Load the configs and the dataset, then run one campaign per entry.
+    """Load the configs, the buffer and the dataset, then run one campaign
+    per entry (_run_entries).
 
-    With --jobs above 1 campaigns run in that many worker processes
-    started by fork, at most one per entry; finish(result) post-processes
-    each one in its worker. A lead whose campaign raises yields its error
-    message instead, so one lead cannot sink the run. Returns the
-    (entry, outcome, error) triples in dataset order and the skipped-row
-    count.
+    In retrieve mode the buffer's records are read here and the campaigns
+    start on their stored fingerprints at once, while one forked _Verifier
+    checks every stored lead, at any --jobs. Its verdict is taken as soon
+    as it arrives and always before returning, so no output is written
+    from an unverified buffer, and a failing line raises the SchemaError
+    that TrajectoryBuffer.load raises. Campaigns may have run by then. A
+    malformed line, or a platform without fork, verifies in-line before
+    any campaign.
     """
     if args.jobs < 1:
         raise orc.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.jobs > 1:
+    context = None
+    if args.jobs > 1 or args.mode == orc.RETRIEVE:
         import multiprocessing
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError as exc:
-            raise orc.ConfigError(f"--jobs {args.jobs} needs the fork start method ({exc})") from exc
+            if args.jobs > 1:
+                raise orc.ConfigError(f"--jobs {args.jobs} needs the fork start method ({exc})") from exc
     tool_set = load_toolset(args.tools_config)
     registry = load_property_registry(args.evaluators_config)
-    buffer = None
+    buffer = unverified = None
     if args.mode == orc.RETRIEVE:
         if args.buffer is None:
             raise orc.ConfigError("retrieve mode requires --buffer")
-        buffer = TrajectoryBuffer.load(args.buffer)
+        records, failure = read_records(args.buffer)
+        if failure is None and context is not None:
+            unverified = records
+        else:
+            # A line read before the malformed one may fail verification.
+            failure = verify_records(records) or failure
+            if failure is not None:
+                raise line_error(args.buffer, failure)
+        buffer = TrajectoryBuffer()
+        for _, record in records:
+            buffer.insert(record)
+    verifier = None
+    try:
+        if unverified is not None:
+            verifier = _Verifier(context, args.buffer, unverified)
+        return _run_entries(args, finish, context, tool_set, registry, buffer, verifier)
+    finally:
+        if verifier is not None:
+            verifier.reap()
+
+
+def _run_entries(
+    args: argparse.Namespace,
+    finish: Callable[[orc.CampaignResult], object],
+    context,
+    tool_set: tuple[tl.ToolSpec, ...],
+    registry: dict[str, ev.PropertySpec],
+    buffer: TrajectoryBuffer | None,
+    verifier: _Verifier | None,
+) -> tuple[list[tuple[DatasetEntry, object, str | None]], int]:
+    """Ingest the dataset and run one campaign per entry; see _run_campaigns.
+
+    With --jobs above 1 campaigns run in that many worker processes
+    started by fork, at most one per entry; finish(result) post-processes
+    each one in its worker. At --jobs 1 the verifier's verdict is taken
+    between campaigns. A lead whose campaign raises yields its error
+    message instead, so one lead cannot sink the run. Returns the
+    (entry, outcome, error) triples in dataset order and the skipped-row
+    count.
+    """
     entries, skipped = ingest(args.dataset, set(registry), args.property_id)
     if not entries:
         raise EmptyDatasetError(f"{args.dataset}: no usable rows ({skipped} skipped)")
@@ -367,9 +498,15 @@ def _run_campaigns(
 
     workers = min(args.jobs, len(entries))
     if workers > 1:
-        outcomes = _run_in_workers(context, workers, run_one, entries)
+        outcomes = _run_in_workers(context, workers, run_one, entries, verifier)
     else:
-        outcomes = [run_one(index) for index in range(len(entries))]
+        outcomes = []
+        for index in range(len(entries)):
+            if verifier is not None:
+                verifier.poll()
+            outcomes.append(run_one(index))
+    if verifier is not None:
+        verifier.take()
     for entry, (_, error) in zip(entries, outcomes):
         if error is not None:
             log.error("campaign failed for %s: %s", entry.smiles, error)

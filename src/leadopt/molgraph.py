@@ -148,11 +148,12 @@ class MolGraph:
 
     The adjacency, one perception record (ring membership, bond-order sums
     and the validity report, from a single pass), the hydrogen counts, the
-    canonical form, the fingerprint, the descriptor record of each property
-    (``evaluate.descriptors``) and the edit options of each tool family
-    (``tools._one_edit``) are computed lazily and memoized; each is a pure
-    function of the graph and its key, and is freed with the molecule.
-    Instances are safe to share across threads.
+    SMILES in atom order, the canonical form, the fingerprint, the
+    descriptor record of each property (``evaluate.descriptors``) and the
+    edit options of each tool family (``tools._one_edit``) are computed
+    lazily and memoized; each is a pure function of the graph and its key,
+    and is freed with the molecule. Instances are safe to share across
+    threads.
     """
 
     atoms: tuple[Atom, ...]
@@ -648,12 +649,15 @@ def write_smiles(mol: MolGraph, ranks: tuple[int, ...] | None = None) -> str:
     """Serialize a connected, valid MolGraph to SMILES.
 
     Traversal follows atom indices, or the given rank vector when supplied
-    (used by canonical_form to fix the output string).
+    (used by canonical_form to fix the output string). The string in atom
+    index order is memoized on the molecule.
     """
     if not mol.atoms:
         raise ValueError("cannot write an empty molecule")
     if ranks is None:
-        ranks = tuple(range(len(mol.atoms)))
+        if "smiles" not in mol._cache:
+            mol._cache["smiles"] = write_smiles(mol, tuple(range(len(mol.atoms))))
+        return mol._cache["smiles"]
     adj = neighbors(mol)
 
     start = min(range(len(mol.atoms)), key=lambda i: ranks[i])

@@ -317,7 +317,8 @@ def plan(
 def _check_candidates(
     smiles_list: list[str], config: RunConfig, lead: _LeadContext
 ) -> list[CandidateCheck]:
-    """Ordered checks per candidate: parse/validate, similarity to lead, improvement.
+    """Ordered checks per candidate: parse/validate, similarity to lead, improvement
+    (the lead itself, in any spelling, is no improvement).
 
     Every valid candidate is scored in one evaluate_batch call, so an
     external evaluator gets one request for the whole list, repeated
@@ -356,7 +357,8 @@ def _check_candidates(
             value = outcome.value
             gain = ev.relative_improvement(config.property_spec, lead.initial, outcome)
             improvement = gain.absolute
-            if failure is None and not gain.improved:
+            # The lead respelled is no improvement, whatever its value's last bits.
+            if failure is None and (not gain.improved or canonical == lead.canonical):
                 failure = tl.NO_IMPROVEMENT
         checks.append(
             CandidateCheck(

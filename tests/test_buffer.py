@@ -201,11 +201,95 @@ def test_action_order_survives_reload(tmp_path):
     assert list(reloaded.records("plogp")[0].actions) == actions
 
 
-def test_load_rejects_tampered_fingerprint(tmp_path):
+# -- malformed buffer files ----------------------------------------------------
+#
+# Each builder returns the lines of one malformed buffer file. MALFORMED_BUFFERS
+# lists every case below, so that tests of other readers of buffer files (the
+# CLI's retrieve runs) can check them against load.
+
+BAD_LEADS = ["C1CC", 5]
+WRONGLY_TYPED_FIELDS = [
+    (("property_id",), ["plogp"]),
+    (("run_id",), {"run": 0}),
+    (("actions", 0, "tool_id"), ["swap"]),
+    (("step_outcomes", 0, "smiles"), 7),
+    (("actions", 0, "prompt_index"), 2.9),
+    (("actions", 0, "prompt_index"), True),
+    (("actions", 0, "prompt_index"), "1"),
+    (("step_outcomes", 0, "value"), "1.0"),
+    (("step_outcomes", 0, "value"), float("inf")),
+    (("step_outcomes", 0, "sim"), True),
+    (("final_ri",), "nan"),
+    (("final_ri",), float("nan")),
+    (("final_ri",), None),
+]
+OTHER_FP_SHAPES = [("fp_radius", 3), ("fp_nbits", 1024), ("fp_nbits", "2048")]
+# Ibuprofen's fingerprint starts with "00" and has a-f digits, so every loose
+# spelling of it parses to the same bits with int(text, 16).
+LOOSE_LEAD = "CC(C)Cc1ccc(C(C)C(=O)O)cc1"
+LOOSE_FORMS = sorted(loose_hex_spellings(make_record(LOOSE_LEAD).lead_fp.to_hex()))
+
+
+def write_buffer_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def good_line():
+    return json.dumps(record_to_dict(make_record("CCO")))
+
+
+def tampered_fingerprint_lines():
     record = record_to_dict(make_record("CCO"))
     record["lead"] = canonical_form(parse_smiles("CCN"))  # fp no longer matches
+    return [json.dumps(record)]
+
+
+def bad_lead_lines(lead):
+    return [good_line(), json.dumps(dict(record_to_dict(make_record("CCO")), lead=lead))]
+
+
+def wrongly_typed_lines(where, value):
+    bad = record_to_dict(make_record("CCO"))
+    *path_to, key = where
+    target = bad
+    for step in path_to:
+        target = target[step]
+    target[key] = value
+    return [good_line(), json.dumps(bad)]
+
+
+def other_fp_shape_lines(key, value):
+    return [json.dumps(dict(record_to_dict(make_record("CCO")), **{key: value}))]
+
+
+def loose_fingerprint_lines(form):
+    loose = record_to_dict(make_record(LOOSE_LEAD))
+    loose["lead_fp_hex"] = loose_hex_spellings(loose["lead_fp_hex"])[form]
+    return [good_line(), json.dumps(loose)]
+
+
+def flipped_bit_lines():
+    data = record_to_dict(make_record(LOOSE_LEAD))
+    digits = data["lead_fp_hex"]
+    position = len(digits) - 1
+    data["lead_fp_hex"] = digits[:position] + format(int(digits[position], 16) ^ 1, "x")
+    return [json.dumps(data)]
+
+
+MALFORMED_BUFFERS = [
+    pytest.param(tampered_fingerprint_lines, (), id="tampered-fingerprint"),
+    pytest.param(lambda: ["{not json}"], (), id="malformed-line"),
+    *(pytest.param(bad_lead_lines, (lead,), id=f"lead-{lead!r}") for lead in BAD_LEADS),
+    *(pytest.param(wrongly_typed_lines, case, id=f"wrong-type-{case!r}") for case in WRONGLY_TYPED_FIELDS),
+    *(pytest.param(other_fp_shape_lines, case, id=f"fp-shape-{case!r}") for case in OTHER_FP_SHAPES),
+    *(pytest.param(loose_fingerprint_lines, (form,), id=f"loose-fp-{form}") for form in LOOSE_FORMS),
+    pytest.param(flipped_bit_lines, (), id="flipped-fingerprint-bit"),
+]
+
+
+def test_load_rejects_tampered_fingerprint(tmp_path):
     path = tmp_path / "buffer.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    write_buffer_lines(path, tampered_fingerprint_lines())
     with pytest.raises(SchemaError, match="fingerprint"):
         TrajectoryBuffer.load(str(path))
 
@@ -217,45 +301,19 @@ def test_load_rejects_malformed_line(tmp_path):
         TrajectoryBuffer.load(str(path))
 
 
-@pytest.mark.parametrize("lead", ["C1CC", 5], ids=["unparseable-lead", "numeric-lead"])
+@pytest.mark.parametrize("lead", BAD_LEADS, ids=["unparseable-lead", "numeric-lead"])
 def test_load_rejects_bad_lead_naming_line(tmp_path, lead):
-    good = record_to_dict(make_record("CCO"))
-    bad = dict(good, lead=lead)
     path = tmp_path / "buffer.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    write_buffer_lines(path, bad_lead_lines(lead))
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ")):
         TrajectoryBuffer.load(str(path))
 
 
-@pytest.mark.parametrize(
-    "where, value",
-    [
-        (("property_id",), ["plogp"]),
-        (("run_id",), {"run": 0}),
-        (("actions", 0, "tool_id"), ["swap"]),
-        (("step_outcomes", 0, "smiles"), 7),
-        (("actions", 0, "prompt_index"), 2.9),
-        (("actions", 0, "prompt_index"), True),
-        (("actions", 0, "prompt_index"), "1"),
-        (("step_outcomes", 0, "value"), "1.0"),
-        (("step_outcomes", 0, "value"), float("inf")),
-        (("step_outcomes", 0, "sim"), True),
-        (("final_ri",), "nan"),
-        (("final_ri",), float("nan")),
-        (("final_ri",), None),
-    ],
-    ids=repr,
-)
+@pytest.mark.parametrize("where, value", WRONGLY_TYPED_FIELDS, ids=repr)
 def test_load_rejects_wrongly_typed_field_naming_line(tmp_path, where, value):
-    good = record_to_dict(make_record("CCO"))
-    bad = json.loads(json.dumps(good))
-    *path_to, key = where
-    target = bad
-    for step in path_to:
-        target = target[step]
-    target[key] = value
     path = tmp_path / "buffer.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    write_buffer_lines(path, wrongly_typed_lines(where, value))
+    key = where[-1]
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: {key} has the wrong type")):
         TrajectoryBuffer.load(str(path))
 
@@ -265,39 +323,26 @@ def test_record_dict_round_trip():
     assert record_from_dict(record_to_dict(record)) == record
 
 
-@pytest.mark.parametrize("key, value", [("fp_radius", 3), ("fp_nbits", 1024), ("fp_nbits", "2048")])
+@pytest.mark.parametrize("key, value", OTHER_FP_SHAPES)
 def test_load_rejects_other_fp_shape(tmp_path, key, value):
-    record = dict(record_to_dict(make_record("CCO")), **{key: value})
     path = tmp_path / "buffer.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    write_buffer_lines(path, other_fp_shape_lines(key, value))
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: fingerprint radius/nbits")):
         TrajectoryBuffer.load(str(path))
 
 
-# Ibuprofen's fingerprint starts with "00" and has a-f digits, so every loose
-# spelling of it parses to the same bits with int(text, 16).
-LOOSE_LEAD = "CC(C)Cc1ccc(C(C)C(=O)O)cc1"
-
-
-@pytest.mark.parametrize("form", sorted(loose_hex_spellings(make_record(LOOSE_LEAD).lead_fp.to_hex())))
+@pytest.mark.parametrize("form", LOOSE_FORMS)
 def test_load_rejects_loose_fingerprint_spelling_naming_line(tmp_path, form):
-    good = record_to_dict(make_record("CCO"))
-    loose = record_to_dict(make_record(LOOSE_LEAD))
-    loose["lead_fp_hex"] = loose_hex_spellings(loose["lead_fp_hex"])[form]
     path = tmp_path / "buffer.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps(loose) + "\n", encoding="utf-8")
+    write_buffer_lines(path, loose_fingerprint_lines(form))
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ") + ".*lowercase hex digits"):
         TrajectoryBuffer.load(str(path))
 
 
 def test_load_recomputes_fingerprint_already_computed_in_process(tmp_path):
     record = make_record(LOOSE_LEAD)
-    data = record_to_dict(record)
-    digits = data["lead_fp_hex"]
-    position = len(digits) - 1
-    data["lead_fp_hex"] = digits[:position] + format(int(digits[position], 16) ^ 1, "x")
     path = tmp_path / "buffer.jsonl"
-    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    write_buffer_lines(path, flipped_bit_lines())
     # The same lead's fingerprint is memoized on these molecules; load must
     # still parse the stored lead afresh and compare.
     assert morgan_fp(parse_smiles(record.lead)) == record.lead_fp

@@ -13,10 +13,19 @@ import pytest
 
 from leadopt import cli
 from leadopt import orchestrate as orc
-from leadopt.buffer import TrajectoryBuffer
-from leadopt.molgraph import canonical_form
+from leadopt.buffer import (
+    SchemaError,
+    StepOutcome,
+    ToolAction,
+    TrajectoryBuffer,
+    TrajectoryRecord,
+    verify_records,
+)
+from leadopt.fingerprint import morgan_fp
+from leadopt.molgraph import canonical_form, parse_smiles
 
 from _molbuild import lead_pool
+from test_buffer import MALFORMED_BUFFERS, write_buffer_lines
 
 LEADS = [canonical_form(mol) for mol in lead_pool(701, 10)]
 
@@ -610,6 +619,21 @@ def test_a_jobs_worker_that_dies_fails_the_run_with_status_2(dataset, tmp_path, 
     assert multiprocessing.active_children() == []
 
 
+def _unreaped(pids: list[int]) -> list[int]:
+    """The pids among ``pids`` that the run did not reap; each is killed and reaped here."""
+    unreaped = []
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # the run reaped it
+        unreaped.append(pid)
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return unreaped
+
+
 def test_ctrl_c_while_the_jobs_workers_start_reaps_them(dataset, tmp_path, monkeypatch):
     forked = []
     fork = os.fork
@@ -626,17 +650,7 @@ def test_ctrl_c_while_the_jobs_workers_start_reaps_them(dataset, tmp_path, monke
     out = tmp_path / "results.jsonl"
     with pytest.raises(KeyboardInterrupt):
         cli.main(["run", "--dataset", dataset, "--jobs", "2", "--out", str(out)])
-    unreaped = []
-    for pid in forked:
-        try:
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            continue  # the run reaped it
-        unreaped.append(pid)
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    assert unreaped == []
+    assert _unreaped(forked) == []
     assert len(forked) == 2  # the interrupt waited until both workers had started
     assert not out.exists()
 
@@ -655,12 +669,12 @@ def _process_group(pgid: int) -> list[int]:
     return members
 
 
-def _start_in_own_group(tmp_path, args):
+def _start_in_own_group(tmp_path, args, jobs="2"):
     """``leadopt run --jobs 2`` in its own process group, as a shell starts
     a foreground job: Ctrl-C then signals the whole group."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "leadopt", "run", "--jobs", "2", *args, "--out", str(tmp_path / "results.jsonl")]
+    argv = [sys.executable, "-m", "leadopt", "run", "--jobs", jobs, *args, "--out", str(tmp_path / "results.jsonl")]
     return subprocess.Popen(argv, env=env, start_new_session=True, stderr=subprocess.DEVNULL)
 
 
@@ -861,6 +875,7 @@ def test_retrieve_with_bad_buffer_lead_exits_2(dataset, tmp_path, lead, caplog):
     )
     assert code == 2
     assert f"{buffer_path}:1:" in caplog.text
+    assert not out.exists()
 
 
 def test_retrieve_with_undecodable_buffer_line_exits_2(dataset, tmp_path, caplog):
@@ -872,6 +887,224 @@ def test_retrieve_with_undecodable_buffer_line_exits_2(dataset, tmp_path, caplog
     )
     assert code == 2
     assert f"{buffer_path}:1:" in caplog.text
+
+
+# -- the retrieve buffer's verifier --------------------------------------------------
+
+JOBS = pytest.mark.parametrize("jobs", ["1", "2"], ids=lambda jobs: f"jobs{jobs}")
+
+
+def write_buffer(path, leads=LEADS[:6]):
+    """One stored plogp trajectory per lead, in lead order; returns the lines."""
+    buffer = TrajectoryBuffer()
+    for index, smiles in enumerate(leads):
+        mol = parse_smiles(smiles)
+        outcome = StepOutcome(canonical_form(mol), 1.0, 1.0)
+        buffer.insert(
+            TrajectoryRecord(
+                canonical_form(mol), morgan_fp(mol), "plogp", (ToolAction("swap", 0),), (outcome,), 0.5, f"r{index}"
+            )
+        )
+    buffer.flush(str(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def with_bad_fingerprint(lines, lineno):
+    """``lines`` with the fingerprint of line ``lineno`` taken from the line after it."""
+    records = [json.loads(line) for line in lines]
+    records[lineno - 1]["lead_fp_hex"] = records[lineno % len(records)]["lead_fp_hex"]
+    return [json.dumps(record) for record in records]
+
+
+def retrieve_argv(dataset, buffer_path, out, jobs):
+    return [
+        "run", "--mode", "retrieve", "--dataset", str(dataset), "--buffer", str(buffer_path),
+        "--steps", "1", "--jobs", jobs, "--out", str(out),
+    ]
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """The pid of every process the test forks."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture()
+def campaigns(tmp_path, monkeypatch):
+    """A file that gets one line per campaign started, in any process."""
+    path = tmp_path / "campaigns.log"
+    path.write_text("")
+    run_campaign = orc.run_campaign
+
+    def logged(config, lead):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(canonical_form(lead) + "\n")
+        return run_campaign(config, lead)
+
+    monkeypatch.setattr(orc, "run_campaign", logged)  # forked workers inherit the patch
+    return path
+
+
+@JOBS
+def test_verified_retrieve_run_forks_one_verifier_and_gives_the_bytes_of_in_line_verification(
+    dataset, tmp_path, monkeypatch, forked, jobs
+):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path)
+    out = tmp_path / "results.jsonl"
+    # Python 3.12+ warns when a process with threads forks; the verifier
+    # forks at --jobs 1 too. os.fork drops an error filter's error, so record them.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
+    assert [str(warning.message) for warning in caught] == []
+    assert len(forked) == (1 if jobs == "1" else 3)  # the verifier, then the workers
+    assert _unreaped(forked) == []
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    in_line = tmp_path / "in-line.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, in_line, "1")) == 0
+    assert len(forked) == (1 if jobs == "1" else 3)
+    assert out.read_bytes() == in_line.read_bytes()
+
+
+@JOBS
+@pytest.mark.parametrize("lineno", [1, 4])
+def test_verifier_names_a_bad_fingerprint_line_and_writes_no_output(dataset, tmp_path, caplog, forked, jobs, lineno):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), lineno))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert f"{buffer_path}:{lineno}: stored fingerprint does not match lead" in caplog.text
+    assert not out.exists()
+    assert forked and _unreaped(forked) == []
+
+
+@JOBS
+@pytest.mark.parametrize(
+    "mismatch, malformed, named",
+    [(3, 5, 3), (5, 2, 2)],
+    ids=["mismatch3-json5", "json2-mismatch5"],
+)
+def test_verification_before_a_malformed_line_is_in_line(
+    dataset, tmp_path, caplog, forked, campaigns, jobs, mismatch, malformed, named
+):
+    buffer_path = tmp_path / "buffer.jsonl"
+    lines = with_bad_fingerprint(write_buffer(buffer_path), mismatch)
+    lines[malformed - 1] = "{not json"
+    write_buffer_lines(buffer_path, lines)
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    (unnamed,) = {mismatch, malformed} - {named}
+    assert f"{buffer_path}:{named}: " in caplog.text
+    assert f"{buffer_path}:{unnamed}:" not in caplog.text
+    assert not out.exists()
+    assert forked == []
+    assert campaigns.read_text() == ""
+
+
+@JOBS
+def test_verifier_stops_a_many_lead_run_before_its_last_campaign(
+    tmp_path, monkeypatch, caplog, forked, campaigns, jobs
+):
+    logged = orc.run_campaign
+
+    def slow(config, lead):  # a whole run takes seconds; the verdict, milliseconds
+        time.sleep(0.05)
+        return logged(config, lead)
+
+    monkeypatch.setattr(orc, "run_campaign", slow)
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 1))
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS * 4))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert f"{buffer_path}:1: stored fingerprint does not match lead" in caplog.text
+    assert len(campaigns.read_text().splitlines()) < len(LEADS) * 4
+    assert not out.exists()
+    assert _unreaped(forked) == []
+
+
+@JOBS
+def test_a_killed_verifier_fails_the_run_with_status_2(dataset, tmp_path, monkeypatch, caplog, forked, jobs):
+    parent = os.getpid()
+
+    def killed(records):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return verify_records(records)
+
+    monkeypatch.setattr(cli, "verify_records", killed)
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path)
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert f"the verifier of {buffer_path} exited with code -9" in caplog.text
+    assert not out.exists()
+    assert _unreaped(forked) == []
+
+
+@needs_proc
+@JOBS
+def test_ctrl_c_reaps_the_verifier_and_writes_no_output(tmp_path, jobs):
+    # Each campaign waits on an evaluator endpoint that sleeps for a minute.
+    eval_script = tmp_path / "eval.py"
+    eval_script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+    evaluators_config = tmp_path / "evaluators.json"
+    evaluators_config.write_text(
+        json.dumps({"evaluators": {"slow": {"endpoint": [sys.executable, str(eval_script)]}}}),
+        encoding="utf-8",
+    )
+    dataset = tmp_path / "data.jsonl"
+    write_dataset(dataset, dataset_rows("slow", LEADS[:2]))
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path)
+    args = ["--mode", "retrieve", "--dataset", str(dataset), "--buffer", str(buffer_path),
+            "--evaluators-config", str(evaluators_config)]
+    proc = _start_in_own_group(tmp_path, args, jobs)
+    # The run, its verifier, and a worker with its endpoint per job (at
+    # --jobs 1 the run is the worker).
+    running = 2 + (1 if jobs == "1" else 4)
+    try:
+        _await_group(proc.pid, lambda group: len(group) >= running, "the verifier and the endpoints running")
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        _await_group(proc.pid, lambda group: not group, "every process gone")
+    finally:
+        _kill_group(proc)
+    assert proc.returncode != 0
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+@JOBS
+@pytest.mark.parametrize("lines, case", MALFORMED_BUFFERS)
+def test_verifier_and_load_name_the_same_line_and_error_class(tmp_path, jobs, lines, case):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, lines(*case))
+    with pytest.raises(SchemaError) as loaded:
+        TrajectoryBuffer.load(str(buffer_path))
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, [{"smiles": "CCO", "property": "plogp"}])
+    out = tmp_path / "results.jsonl"
+    args = cli.build_parser().parse_args(retrieve_argv(dataset, buffer_path, out, jobs))
+    with pytest.raises(SchemaError) as ran:
+        cli.run_command(args)
+    assert (type(ran.value), str(ran.value)) == (type(loaded.value), str(loaded.value))
+    assert not out.exists()
 
 
 def test_endpoint_failure_names_whole_argv(tmp_path):

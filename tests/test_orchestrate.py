@@ -280,6 +280,28 @@ def test_selection_tie_breaks_lexicographically():
     assert step.chosen.smiles == min(c.canonical for c in passing)
 
 
+def test_the_lead_respelled_is_no_improvement():
+    # The builtin plogp sums atom terms in index order, so this spelling of
+    # the lead scores 1.8e-15 above the dataset's spelling.
+    lead = parse_smiles("C(C)(SCC(C)F)(OCc(nccc1)c1-c(ccc(c2)-c(cncc3)c3)c2)C(C)C")
+    respelled = "c(ccc(-c(cccn1)c1COC(SCC(F)C)(C)C(C)C)c2)(c2)-c(cccn3)c3"
+    assert canonical_form(parse_smiles(respelled)) == canonical_form(lead)
+    assert ev.evaluate(PLOGP, parse_smiles(respelled)).value > ev.evaluate(PLOGP, lead).value
+
+    def transport(request):
+        return f"<SMILES>{respelled}</SMILES>"
+
+    tool = tl.ToolSpec("echo", "returns the lead", tl.default_templates("any"), tl.ExternalTool(transport))
+    config = orc.RunConfig(mode="online", tool_set=(tool,), property_spec=PLOGP, seed=0, steps=1)
+    result = orc.run_campaign(config, lead)
+    checks = [c for a in result.steps[0].attempts for c in a.candidates]
+    assert [(c.smiles, c.sim_to_lead, c.failure_kind) for c in checks] == [
+        (respelled, 1.0, tl.NO_IMPROVEMENT)
+    ] * len(checks)
+    assert checks[0].improvement_vs_lead > 0
+    assert result.best_seen is None
+
+
 def test_stagnant_step_keeps_molecule():
     # tau = 1.0 makes every modified candidate fail the similarity check.
     config = config_for("online", tau=1.0, steps=2)
