@@ -1117,6 +1117,242 @@ def test_endpoint_failure_names_whole_argv(tmp_path):
     assert "--flag" in str(caught.value)
 
 
+# -- the endpoint transport ------------------------------------------------------------
+
+# Logs "<kind> <sha256 of the request> <parent pid>" for each request it
+# reads, then replies as a tool ("tool") or an evaluator ("evaluator") does.
+LOGGING_ENDPOINT = """\
+import hashlib, json, os, sys
+kind, log = sys.argv[1:3]
+payload = sys.stdin.buffer.read()
+with open(log, "a", encoding="ascii") as handle:
+    handle.write(f"{kind} {hashlib.sha256(payload).hexdigest()} {os.getppid()}\\n")
+request = json.loads(payload)
+if kind == "tool":
+    print(f"<SMILES>{request['smiles']}C</SMILES> <SMILES>{request['smiles']}O</SMILES>")
+else:
+    print(json.dumps({"values": [float(len(s)) for s in request["smiles_list"]], "errors": []}))
+"""
+
+
+def logging_endpoint(tmp_path, kind):
+    script = tmp_path / "logging_endpoint.py"
+    script.write_text(LOGGING_ENDPOINT, encoding="utf-8")
+    return [sys.executable, str(script), kind, str(tmp_path / "requests.log")]
+
+
+def logged_requests(tmp_path):
+    """(kind, request digest, parent pid) of each request the logging endpoints read."""
+    log = tmp_path / "requests.log"
+    return [tuple(line.split()) for line in log.read_text().splitlines()] if log.exists() else []
+
+
+def external_args(tmp_path, tool_argv, evaluator_argv=None):
+    """Config flags for one external tool "ext" and, if given, an external evaluator "ext"."""
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps({"tools": [{"tool_id": "ext", "kind": "external", "endpoint": tool_argv}]}))
+    if evaluator_argv is None:
+        return ["--tools-config", str(tools)]
+    evaluators = tmp_path / "evaluators.json"
+    evaluators.write_text(json.dumps({"evaluators": {"ext": {"direction": "maximize", "endpoint": evaluator_argv}}}))
+    return ["--tools-config", str(tools), "--evaluators-config", str(evaluators)]
+
+
+@pytest.fixture()
+def spawned(tmp_path, monkeypatch):
+    """A function listing (pid, spawner pid) of every endpoint process started so far, in any process."""
+    path = tmp_path / "spawned.log"
+    path.write_text("")
+    spawn = os.posix_spawnp
+
+    def recording_spawn(*args, **kwargs):
+        pid = spawn(*args, **kwargs)
+        with open(path, "a", encoding="ascii") as handle:
+            handle.write(f"{pid} {os.getpid()}\n")
+        return pid
+
+    monkeypatch.setattr(os, "posix_spawnp", recording_spawn)  # forked workers inherit the patch
+    return lambda: [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def _existing(pids) -> list[int]:
+    """The pids among ``pids`` that still exist, zombies included."""
+    existing = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        existing.append(pid)
+    return existing
+
+
+def one_shot_endpoint(argv):
+    """The reference transport: one process started for each request, and no other."""
+
+    def call(request):
+        proc = subprocess.run(argv, input=json.dumps(request, sort_keys=True), capture_output=True, text=True, timeout=60)
+        if proc.returncode != 0:
+            raise RuntimeError(f"endpoint exited {proc.returncode}")
+        return proc.stdout
+
+    return call
+
+
+@JOBS
+def test_endpoints_serve_the_requests_of_one_process_per_request(tmp_path, monkeypatch, forked, spawned, jobs):
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows("ext", LEADS[:3]))
+    args = ["run", "--dataset", str(dataset), "--steps", "2", "--seed", "5"]
+    args += external_args(tmp_path, logging_endpoint(tmp_path, "tool"), logging_endpoint(tmp_path, "evaluator"))
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "text_endpoint", one_shot_endpoint)
+        assert cli.main([*args, "--jobs", "1", "--out", str(tmp_path / "one-shot.jsonl")]) == 0
+    expected = sorted(request[:2] for request in logged_requests(tmp_path))
+    # A call here leaves a tool process waiting in this process, which a
+    # forked worker must not take.
+    assert "<SMILES>CC</SMILES>" in cli.text_endpoint(logging_endpoint(tmp_path, "tool"))({"smiles": "C"})
+    (tmp_path / "requests.log").unlink()
+    forked.clear()
+    primed = len(spawned())
+    assert cli.main([*args, "--jobs", jobs, "--out", str(tmp_path / "results.jsonl")]) == 0
+    assert (tmp_path / "results.jsonl").read_bytes() == (tmp_path / "one-shot.jsonl").read_bytes()
+    requests = logged_requests(tmp_path)
+    assert sorted(request[:2] for request in requests) == expected  # one line per request made
+    # Each request is served by a child of the process that made it.
+    requesters = {os.getpid()} if jobs == "1" else set(forked)
+    assert {int(request[2]) for request in requests} == requesters
+    assert {spawner for _, spawner in spawned()[primed:]} == requesters
+    assert _existing(pid for pid, _ in spawned()) == []
+    assert _unreaped(forked) == []
+
+
+@JOBS
+@pytest.mark.parametrize("endpoint", ["replies", "exits-3", "missing"])
+def test_no_endpoint_process_outlives_a_run(tmp_path, forked, spawned, jobs, endpoint):
+    failing = tmp_path / "exit3.py"
+    failing.write_text("import sys\nsys.exit(3)\n", encoding="utf-8")
+    tool_argv = {
+        "replies": logging_endpoint(tmp_path, "tool"),
+        "exits-3": [sys.executable, str(failing)],
+        "missing": [str(tmp_path / "missing-endpoint")],
+    }[endpoint]
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:3]))
+    out = tmp_path / "results.jsonl"
+    argv = ["run", "--dataset", str(dataset), "--steps", "2", "--jobs", jobs, "--out", str(out)]
+    assert cli.main([*argv, *external_args(tmp_path, tool_argv)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    proposed = [bool(attempt["candidates"]) for record in records for step in record["steps"] for attempt in step["attempts"]]
+    assert len(records) == 3
+    assert proposed == [endpoint == "replies"] * len(proposed) != []
+    assert (spawned() == []) == (endpoint == "missing")
+    assert _existing(pid for pid, _ in spawned()) == []
+    assert _unreaped(forked) == []
+    assert cli._own_endpoints().started == set()
+
+
+def test_an_endpoint_past_the_timeout_is_killed_and_reaped(tmp_path, monkeypatch, spawned):
+    script = tmp_path / "sleeps.py"
+    script.write_text("import sys, time\nsys.stdin.read()\ntime.sleep(60)\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "ENDPOINT_TIMEOUT_S", 0.5)
+    call = cli.text_endpoint([sys.executable, str(script)])
+    start = time.monotonic()
+    with pytest.raises(subprocess.TimeoutExpired):
+        call({"smiles": "CCO"})
+    assert time.monotonic() - start < 10
+    (in_flight, _), (waiting, _) = spawned()
+    assert _unreaped([in_flight]) == []
+    assert _existing([waiting]) == [waiting]  # started for the next request
+    cli._reap_endpoints()
+    assert _unreaped([waiting]) == []
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_a_reply_past_the_limit_fails_its_call(tmp_path, spawned, excess):
+    script = tmp_path / "replies.py"
+    size = cli.ENDPOINT_REPLY_LIMIT + excess
+    script.write_text(f"import sys\nsys.stdin.read()\nsys.stdout.write('C' * {size})\n", encoding="utf-8")
+    call = cli.text_endpoint([sys.executable, str(script)])
+    if excess:
+        with pytest.raises(RuntimeError, match=f"replied more than {cli.ENDPOINT_REPLY_LIMIT} bytes"):
+            call({"smiles": "CCO"})
+    else:
+        assert call({"smiles": "CCO"}) == "C" * size
+    cli._reap_endpoints()
+    assert _unreaped(pid for pid, _ in spawned()) == []
+
+
+def test_an_endless_reply_fails_its_call_within_seconds(tmp_path, spawned):
+    script = tmp_path / "endless.py"
+    script.write_text("import sys\nsys.stdin.read()\nwhile True:\n    sys.stdout.write('C' * 65536)\n")
+    call = cli.text_endpoint([sys.executable, str(script)])
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="replied more than"):
+        call({"smiles": "CCO"})
+    assert time.monotonic() - start < 10
+    (in_flight, _), (waiting, _) = spawned()
+    assert _unreaped([in_flight]) == []
+    cli._reap_endpoints()
+    assert _unreaped([waiting]) == []
+
+
+def test_a_failed_endpoint_names_the_tail_of_its_stderr(tmp_path):
+    script = tmp_path / "noisy.py"
+    script.write_text("import sys\nsys.stderr.write('x' * 100000 + ' the end')\nsys.exit(3)\n")
+    with pytest.raises(RuntimeError, match="exited 3") as caught:
+        cli.text_endpoint([sys.executable, str(script)])({"smiles": "CCO"})
+    assert str(caught.value).endswith("x the end")
+    assert len(str(caught.value)) < 2 * cli._STDERR_TAIL
+    cli._reap_endpoints()
+
+
+@JOBS
+def test_terminated_jobs_workers_kill_their_endpoint_processes(tmp_path, monkeypatch, forked, spawned, jobs):
+    parent = os.getpid()
+
+    def after_the_endpoints_start(records):
+        """The verdict, once each process running campaigns has an endpoint process waiting."""
+        deadline = time.monotonic() + 30
+        while os.getpid() != parent and len(spawned()) < 2 * int(jobs) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return verify_records(records)
+
+    monkeypatch.setattr(cli, "verify_records", after_the_endpoints_start)
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 1))
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS * 2))
+    out = tmp_path / "results.jsonl"
+    argv = retrieve_argv(dataset, buffer_path, out, jobs) + external_args(tmp_path, logging_endpoint(tmp_path, "tool"))
+    assert cli.main(argv) == 2
+    assert len(spawned()) >= 2 * int(jobs)
+    assert len(logged_requests(tmp_path)) < len(LEADS) * 2
+    assert not out.exists()
+    assert _existing(pid for pid, _ in spawned()) == []
+    assert _unreaped(forked) == []
+
+
+@needs_proc
+def test_a_direct_call_leaves_nothing_running_at_interpreter_exit(tmp_path):
+    script = tmp_path / "endpoint.py"
+    # A waiting process given end of file instead of a request would stay a minute.
+    script.write_text(
+        "import sys, time\nif not sys.stdin.read():\n    time.sleep(60)\nprint('<SMILES>CC</SMILES>')\n",
+        encoding="utf-8",
+    )
+    code = f"from leadopt import cli\nprint(cli.text_endpoint([{sys.executable!r}, {str(script)!r}])({{}}))\n"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True, stdout=subprocess.PIPE)
+    try:
+        output, _ = proc.communicate(timeout=30)
+        _await_group(proc.pid, lambda group: not group, "every process gone")
+    finally:
+        _kill_group(proc)
+    assert (proc.returncode, output) == (0, b"<SMILES>CC</SMILES>\n\n")
+
+
 # -- external endpoints through configs ----------------------------------------------
 
 
