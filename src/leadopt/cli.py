@@ -49,9 +49,6 @@ ENDPOINT_TIMEOUT_S = 60.0
 ENDPOINT_REPLY_LIMIT = 1 << 20
 # Bytes of a failed endpoint's stderr kept, from its end, for the message.
 _STDERR_TAIL = 4096
-# Signals that Python ignores and exec would leave ignored in an endpoint;
-# Popen's restore_signals resets them too.
-_DEFAULT_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ)
 
 
 class EmptyDatasetError(ValueError):
@@ -170,9 +167,11 @@ class _Endpoints:
             in_r, in_w, out_r, out_w, err_r, err_w = fds
             actions = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate((in_r, out_w, err_w))]
             with _signals_deferred() as sigmask:
+                # Python ignores SIGPIPE and SIGXFSZ, and exec would keep them
+                # ignored; Popen's restore_signals resets them too.
                 pid = os.posix_spawnp(
-                    argv[0], argv, os.environ,
-                    file_actions=actions, setsigmask=sigmask, setsigdef=_DEFAULT_SIGNALS,
+                    argv[0], argv, os.environ, file_actions=actions,
+                    setsigmask=sigmask, setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
                 )
                 proc = _EndpointProcess(argv, pid, in_w, out_r, err_r)
                 self.started.add(proc)

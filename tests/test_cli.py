@@ -1283,9 +1283,15 @@ def test_a_reply_past_the_limit_fails_its_call(tmp_path, spawned, excess):
     assert _unreaped(pid for pid, _ in spawned()) == []
 
 
-def test_an_endless_reply_fails_its_call_within_seconds(tmp_path, spawned):
+def test_an_endless_reply_fails_its_call_within_seconds(tmp_path, monkeypatch, spawned):
+    # The reply never ends, but stops growing at 16 MiB: a transport without
+    # the limit fails this test by its (shortened) timeout, not by memory.
     script = tmp_path / "endless.py"
-    script.write_text("import sys\nsys.stdin.read()\nwhile True:\n    sys.stdout.write('C' * 65536)\n")
+    script.write_text(
+        "import sys, time\nsys.stdin.read()\nfor _ in range(256):\n    sys.stdout.write('C' * 65536)\n"
+        "sys.stdout.flush()\ntime.sleep(60)\n"
+    )
+    monkeypatch.setattr(cli, "ENDPOINT_TIMEOUT_S", 10.0)
     call = cli.text_endpoint([sys.executable, str(script)])
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="replied more than"):
