@@ -406,33 +406,33 @@ def ingest(
 
 
 def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, run_one: Callable) -> None:
-    """Worker loop: send back run_one(index) for each index read from
+    """Pool process loop: send back run_one(index) for each index read from
     ``pipe``, until the parent sends None or goes away.
 
-    Workers leave Ctrl-C to the parent, which terminates them. A no-op
-    handler ignores SIGINT; unlike SIG_IGN, exec resets it, so endpoint
-    processes started here still stop on Ctrl-C. The SIGTERM of the
-    parent's terminate() raises SystemExit, so that the worker kills and
-    reaps its endpoint processes on every way out; the clean-up itself
-    ignores a SIGTERM.
+    Pool processes leave Ctrl-C to the parent, which terminates them. A
+    no-op handler ignores SIGINT; unlike SIG_IGN, exec resets it, so
+    endpoint processes started here still stop on Ctrl-C. The SIGTERM of
+    the parent's terminate() raises SystemExit through the handler that
+    main installs and fork hands down, so that the process kills and reaps
+    its endpoint processes on every way out; the clean-up itself ignores a
+    SIGTERM.
     """
     for end in parent_ends:  # inherited; closed so that EOF tells of the parent's exit
         end.close()
     signal.signal(signal.SIGINT, lambda signum, frame: None)
-    signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
-        try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
-            with contextlib.suppress(EOFError, BrokenPipeError):
-                for index in iter(pipe.recv, None):
-                    pipe.send(run_one(index))
-        finally:
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
+        with contextlib.suppress(EOFError, BrokenPipeError):
+            for index in iter(pipe.recv, None):
+                pipe.send(run_one(index))
     finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         _reap_endpoints()
 
 
 def _exit_on_signal(signum: int, frame) -> None:
+    """Exit with 128 + signum through every finally; a repeat is ignored."""
+    signal.signal(signum, signal.SIG_IGN)
     raise SystemExit(128 + signum)
 
 
@@ -448,97 +448,33 @@ def _signals_deferred():
         signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
 
 
-def _start_worker(context, sigmask: set[signal.Signals], parent_ends: list, run_one: Callable):
-    """Fork a process that runs _serve over run_one, inside _signals_deferred.
-
-    ``parent_ends`` are the parent's ends of the pipes of processes started
-    before it, which the new process closes. Returns the parent's end of
-    its own pipe and the process.
-    """
-    pipe, child_end = context.Pipe()
-    worker = context.Process(target=_serve, args=(child_end, sigmask, [*parent_ends, pipe], run_one))
-    worker.start()
-    child_end.close()
-    return pipe, worker
-
-
-class _Verifier:
-    """One forked process that runs buffer.verify_records on the records of
-    a buffer file while the campaigns run.
-
-    It is served by _serve with a single request, and its one reply is the
-    verdict: take() reads it once, closes the pipe so that the verifier
-    exits, and raises for a failing line or a verifier that died. reap()
-    ends a verifier whose verdict is still pending, and waits for it.
-    """
-
-    def __init__(self, context, path: str, records: list) -> None:
-        self.path = path
-        self.process = None
-        try:
-            with _signals_deferred() as sigmask:
-                self.pipe, self.process = _start_worker(
-                    context, sigmask, [], lambda _: verify_records(records)
-                )
-            self.pipe.send(0)
-        except BaseException:
-            if self.process is not None:
-                self.reap()
-            raise
-
-    @property
-    def pending(self) -> bool:
-        return not self.pipe.closed
-
-    def poll(self) -> None:
-        """take() the verdict if it has arrived."""
-        if self.pending and self.pipe.poll():
-            self.take()
-
-    def take(self) -> None:
-        """Wait for the verdict, unless it was taken already."""
-        if not self.pending:
-            return
-        try:
-            failure = self.pipe.recv()
-        except EOFError:
-            self.reap()
-            raise ChildProcessError(
-                f"the verifier of {self.path} exited with code {self.process.exitcode}"
-            ) from None
-        self.pipe.close()
-        if failure is not None:
-            raise line_error(self.path, failure)
-
-    def reap(self) -> None:
-        if self.pending:
-            self.process.terminate()
-            self.pipe.close()
-        self.process.join()
-
-
 def _run_in_workers(
-    context, workers: int, run_one: Callable, entries: list[DatasetEntry], verifier: _Verifier | None
+    context, workers: int, run_one: Callable, entries: list[DatasetEntry], verify: tuple[str, list] | None
 ) -> list:
     """run_one over the indices of ``entries``, in order, on ``workers``
-    forked processes. Fork hands each worker run_one and all it refers to,
-    endpoint transports and a loaded buffer included, without pickling.
+    forked processes. Fork hands each process run_one and all it refers
+    to, endpoint transports and a loaded buffer included, without pickling.
 
-    Each worker has its own pipe and takes one index at a time, so the
-    load balances and no lock is shared: terminating a worker at any point
-    cannot block the others or the parent. Ctrl-C waits while the workers
-    start, so every started worker is terminated and reaped on the way
-    out. A worker that dies fails the run instead of leaving it waiting.
-    The verifier's verdict is taken as soon as it arrives; a failing line
-    terminates the workers.
+    Each process has its own pipe and takes one index at a time, so the
+    load balances and no lock is shared: terminating a process at any
+    point cannot block the others or the parent. Ctrl-C waits while the
+    processes start, so every started one is terminated and reaped on the
+    way out. A process that dies fails the run instead of leaving it
+    waiting.
+
+    ``verify``, a buffer path and its records, starts one more process of
+    the pool, first, with the single request to run buffer.verify_records:
+    its one reply is the verdict, taken as soon as it arrives and always
+    before returning, after which it is sent None. It runs no campaign. A
+    failing line raises the SchemaError that TrajectoryBuffer.load raises
+    and terminates the workers.
     """
     from multiprocessing.connection import wait
 
     outcomes: list = [None] * len(entries)
     tasks = iter(range(len(entries)))
-    workers_of = {}  # parent end of each pipe -> its worker
-    in_flight = {}  # parent end -> the index its worker runs
-    inherited = [verifier.pipe] if verifier is not None and verifier.pending else []
+    processes = {}  # parent end of each pipe -> its process
+    in_flight = {}  # parent end -> the index its worker runs, or None for the verdict
 
     def feed(pipe) -> None:
         index = next(tasks, None)
@@ -548,37 +484,48 @@ def _run_in_workers(
 
     try:
         with _signals_deferred() as sigmask:
-            for _ in range(workers):
-                pipe, worker = _start_worker(context, sigmask, [*inherited, *workers_of], run_one)
-                workers_of[pipe] = worker
-        for pipe in workers_of:
+            serving = [lambda _: verify_records(verify[1])] if verify is not None else []
+            for serve in serving + [run_one] * workers:
+                pipe, child_end = context.Pipe()
+                process = context.Process(target=_serve, args=(child_end, sigmask, [*processes, pipe], serve))
+                process.start()
+                child_end.close()
+                processes[pipe] = process
+        pipes = iter(processes)
+        if verify is not None:
+            verifier = next(pipes)
+            verifier.send(0)
+            in_flight[verifier] = None
+        for pipe in pipes:
             feed(pipe)
         while in_flight:
-            watched = [*in_flight]
-            if verifier is not None and verifier.pending:
-                watched.append(verifier.pipe)
-            for pipe in wait(watched):
-                if pipe not in in_flight:
-                    verifier.take()
-                    continue
+            for pipe in wait(list(in_flight)):
                 index = in_flight.pop(pipe)
                 try:
-                    outcomes[index] = pipe.recv()
+                    reply = pipe.recv()
                 except EOFError:
-                    worker = workers_of[pipe]
-                    worker.join()
-                    raise ChildProcessError(
-                        f"the worker running {entries[index].smiles} exited with code {worker.exitcode}"
-                    ) from None
-                feed(pipe)
+                    process = processes[pipe]
+                    process.join()
+                    running = (
+                        f"the verifier of {verify[0]}" if index is None
+                        else f"the worker running {entries[index].smiles}"
+                    )
+                    raise ChildProcessError(f"{running} exited with code {process.exitcode}") from None
+                if index is None:
+                    pipe.send(None)
+                    if reply is not None:
+                        raise line_error(verify[0], reply)
+                else:
+                    outcomes[index] = reply
+                    feed(pipe)
         return outcomes
     except BaseException:
-        for worker in workers_of.values():
-            worker.terminate()
+        for process in processes.values():
+            process.terminate()
         raise
     finally:
-        for worker in workers_of.values():
-            worker.join()
+        for process in processes.values():
+            process.join()
 
 
 def _run_campaigns(
@@ -586,16 +533,23 @@ def _run_campaigns(
     finish: Callable[[orc.CampaignResult], object],
 ) -> tuple[list[tuple[DatasetEntry, object, str | None]], int]:
     """Load the configs, the buffer and the dataset, then run one campaign
-    per entry (_run_entries).
+    per entry.
+
+    With --jobs above 1 campaigns run in that many worker processes
+    started by fork, at most one per entry (_run_in_workers); finish(result)
+    post-processes each one in its worker. A lead whose campaign raises
+    yields its error message instead, so one lead cannot sink the run.
 
     In retrieve mode the buffer's records are read here and the campaigns
-    start on their stored fingerprints at once, while one forked _Verifier
-    checks every stored lead, at any --jobs. Its verdict is taken as soon
-    as it arrives and always before returning, so no output is written
-    from an unverified buffer, and a failing line raises the SchemaError
-    that TrajectoryBuffer.load raises. Campaigns may have run by then. A
+    run on their stored fingerprints, while one more process of the same
+    pool checks every stored lead, at any --jobs; so at --jobs 1 the
+    campaigns run in one forked worker. No output is written from an
+    unverified buffer, though campaigns may have run by the verdict. A
     malformed line, or a platform without fork, verifies in-line before
     any campaign.
+
+    Returns the (entry, outcome, error) triples in dataset order and the
+    skipped-row count.
     """
     if args.jobs < 1:
         raise orc.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
@@ -610,13 +564,13 @@ def _run_campaigns(
                 raise orc.ConfigError(f"--jobs {args.jobs} needs the fork start method ({exc})") from exc
     tool_set = load_toolset(args.tools_config)
     registry = load_property_registry(args.evaluators_config)
-    buffer = unverified = None
+    buffer = verify = None
     if args.mode == orc.RETRIEVE:
         if args.buffer is None:
             raise orc.ConfigError("retrieve mode requires --buffer")
         records, failure = read_records(args.buffer)
         if failure is None and context is not None:
-            unverified = records
+            verify = args.buffer, records
         else:
             # A line read before the malformed one may fail verification.
             failure = verify_records(records) or failure
@@ -625,35 +579,6 @@ def _run_campaigns(
         buffer = TrajectoryBuffer()
         for _, record in records:
             buffer.insert(record)
-    verifier = None
-    try:
-        if unverified is not None:
-            verifier = _Verifier(context, args.buffer, unverified)
-        return _run_entries(args, finish, context, tool_set, registry, buffer, verifier)
-    finally:
-        if verifier is not None:
-            verifier.reap()
-
-
-def _run_entries(
-    args: argparse.Namespace,
-    finish: Callable[[orc.CampaignResult], object],
-    context,
-    tool_set: tuple[tl.ToolSpec, ...],
-    registry: dict[str, ev.PropertySpec],
-    buffer: TrajectoryBuffer | None,
-    verifier: _Verifier | None,
-) -> tuple[list[tuple[DatasetEntry, object, str | None]], int]:
-    """Ingest the dataset and run one campaign per entry; see _run_campaigns.
-
-    With --jobs above 1 campaigns run in that many worker processes
-    started by fork, at most one per entry; finish(result) post-processes
-    each one in its worker. At --jobs 1 the verifier's verdict is taken
-    between campaigns. A lead whose campaign raises yields its error
-    message instead, so one lead cannot sink the run. Returns the
-    (entry, outcome, error) triples in dataset order and the skipped-row
-    count.
-    """
     entries, skipped = ingest(args.dataset, set(registry), args.property_id)
     if not entries:
         raise EmptyDatasetError(f"{args.dataset}: no usable rows ({skipped} skipped)")
@@ -687,16 +612,10 @@ def _run_entries(
             return None, str(exc)
 
     workers = min(args.jobs, len(entries))
-    if workers > 1:
-        outcomes = _run_in_workers(context, workers, run_one, entries, verifier)
+    if workers > 1 or verify is not None:
+        outcomes = _run_in_workers(context, workers, run_one, entries, verify)
     else:
-        outcomes = []
-        for index in range(len(entries)):
-            if verifier is not None:
-                verifier.poll()
-            outcomes.append(run_one(index))
-    if verifier is not None:
-        verifier.take()
+        outcomes = [run_one(index) for index in range(len(entries))]
     for entry, (_, error) in zip(entries, outcomes):
         if error is not None:
             log.error("campaign failed for %s: %s", entry.smiles, error)
@@ -824,13 +743,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    # SIGTERM exits with status 143 through the clean-up below; forked pool
+    # processes inherit the handler. The caller's handler is restored on return.
+    caller_handler = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         return args.handler(args)
     except (orc.ConfigError, EmptyDatasetError, SchemaError, OSError) as exc:
         log.error("%s", exc)
         return 2
     finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         _reap_endpoints()
+        signal.signal(signal.SIGTERM, caller_handler)
 
 
 if __name__ == "__main__":

@@ -553,19 +553,23 @@ def test_failed_lead_crosses_the_jobs_boundary_as_its_message(dataset, tmp_path,
     for jobs in ("1", "2"):
         out = tmp_path / f"results-{jobs}.jsonl"
         buffer = tmp_path / f"buffer-{jobs}.jsonl"
+        retrieved = tmp_path / f"retrieved-{jobs}.jsonl"  # at --jobs 1 too, from a forked worker
         common = ["--dataset", dataset, "--seed", "42", "--jobs", jobs]
         assert cli.main(["run", "--mode", "online", *common, "--out", str(out)]) == 0
         assert multiprocessing.active_children() == []
         assert cli.main(["build-buffer", *common, "--out", str(buffer)]) == 0
         assert multiprocessing.active_children() == []
-        results[jobs] = out.read_bytes(), buffer.read_bytes()
+        assert cli.main(["run", "--mode", "retrieve", *common, "--buffer", str(buffer), "--out", str(retrieved)]) == 0
+        assert multiprocessing.active_children() == []
+        results[jobs] = out.read_bytes(), buffer.read_bytes(), retrieved.read_bytes()
         stored = TrajectoryBuffer.load(str(buffer))
         assert len(stored) > 0
         assert failing not in {record.lead for record in stored.records("plogp")}
     assert results["1"] == results["2"]
-    records = [json.loads(line) for line in results["2"][0].splitlines()]
-    assert records[3] == {"error": f"no campaign: {failing}", "lead": failing, "property_id": "plogp"}
-    assert all("steps" in record for index, record in enumerate(records) if index != 3)
+    for lines in (results["2"][0], results["2"][2]):
+        records = [json.loads(line) for line in lines.splitlines()]
+        assert records[3] == {"error": f"no campaign: {failing}", "lead": failing, "property_id": "plogp"}
+        assert all("steps" in record for index, record in enumerate(records) if index != 3)
 
 
 def test_jobs_starts_at_most_one_worker_per_lead(tmp_path, monkeypatch):
@@ -612,11 +616,17 @@ def test_a_jobs_worker_that_dies_fails_the_run_with_status_2(dataset, tmp_path, 
         return run_campaign(config, lead)
 
     monkeypatch.setattr(orc, "run_campaign", dies)
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path)
     out = tmp_path / "results.jsonl"
-    assert cli.main(["run", "--dataset", dataset, "--jobs", "2", "--out", str(out)]) == 2
-    assert f"the worker running {LEADS[3]} exited with code 3" in caplog.text
-    assert not out.exists()
-    assert multiprocessing.active_children() == []
+    # A retrieve run at --jobs 1 runs its campaigns in one forked worker.
+    for mode, jobs in (("online", "2"), ("retrieve", "1")):
+        caplog.clear()
+        argv = ["run", "--mode", mode, "--dataset", dataset, "--buffer", str(buffer_path), "--jobs", jobs]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert f"the worker running {LEADS[3]} exited with code 3" in caplog.text
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 def _unreaped(pids: list[int]) -> list[int]:
@@ -962,13 +972,13 @@ def test_verified_retrieve_run_forks_one_verifier_and_gives_the_bytes_of_in_line
     buffer_path = tmp_path / "buffer.jsonl"
     write_buffer(buffer_path)
     out = tmp_path / "results.jsonl"
-    # Python 3.12+ warns when a process with threads forks; the verifier
+    # Python 3.12+ warns when a process with threads forks; a retrieve run
     # forks at --jobs 1 too. os.fork drops an error filter's error, so record them.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
     assert [str(warning.message) for warning in caught] == []
-    assert len(forked) == (1 if jobs == "1" else 3)  # the verifier, then the workers
+    assert len(forked) == 1 + int(jobs)  # the verifier, then the workers
     assert _unreaped(forked) == []
 
     def no_fork(method=None):
@@ -977,8 +987,35 @@ def test_verified_retrieve_run_forks_one_verifier_and_gives_the_bytes_of_in_line
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     in_line = tmp_path / "in-line.jsonl"
     assert cli.main(retrieve_argv(dataset, buffer_path, in_line, "1")) == 0
-    assert len(forked) == (1 if jobs == "1" else 3)
+    assert len(forked) == 1 + int(jobs)
     assert out.read_bytes() == in_line.read_bytes()
+
+
+@JOBS
+def test_at_most_jobs_processes_run_campaigns_and_the_verifier_runs_none(dataset, tmp_path, monkeypatch, jobs):
+    pids = tmp_path / "pids.log"
+    run_campaign = orc.run_campaign
+
+    def logged(kind, call):
+        def logging_call(*args):
+            with open(pids, "a", encoding="ascii") as handle:
+                handle.write(f"{kind} {os.getpid()}\n")
+            return call(*args)
+
+        return logging_call
+
+    monkeypatch.setattr(orc, "run_campaign", logged("campaign", run_campaign))  # forked processes inherit the patches
+    monkeypatch.setattr(cli, "verify_records", logged("verifier", verify_records))
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path)
+    assert cli.main(retrieve_argv(dataset, buffer_path, tmp_path / "results.jsonl", jobs)) == 0
+    logged_pids = [line.split() for line in pids.read_text().splitlines()]
+    campaigns = [int(pid) for kind, pid in logged_pids if kind == "campaign"]
+    (verifier,) = [int(pid) for kind, pid in logged_pids if kind == "verifier"]
+    assert len(campaigns) == len(LEADS)
+    assert 1 <= len(set(campaigns)) <= int(jobs)
+    assert verifier not in campaigns
+    assert os.getpid() not in [verifier, *campaigns]
 
 
 @JOBS
@@ -1088,6 +1125,58 @@ def test_ctrl_c_reaps_the_verifier_and_writes_no_output(tmp_path, jobs):
         _kill_group(proc)
     assert proc.returncode != 0
     assert not (tmp_path / "results.jsonl").exists()
+
+
+def test_main_restores_the_callers_sigterm_handler(dataset, tmp_path):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert cli.main(["run", "--dataset", dataset, "--steps", "1", "--out", str(tmp_path / "results.jsonl")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+        assert cli.main(["run", "--dataset", dataset, "--jobs", "0", "--out", str(tmp_path / "results.jsonl")]) == 2
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+# Logs the length of the request it reads, then sleeps a minute before replying.
+SLEEPING_TOOL = """\
+import sys, time
+payload = sys.stdin.buffer.read()
+with open(sys.argv[1], "a", encoding="ascii") as handle:
+    handle.write(f"{len(payload)}\\n")
+time.sleep(60)
+"""
+
+
+@needs_proc
+@JOBS
+def test_sigterm_ends_a_run_with_status_143_and_leaves_nothing_running(tmp_path, jobs):
+    script = tmp_path / "sleeping_tool.py"
+    script.write_text(SLEEPING_TOOL, encoding="utf-8")
+    requests = tmp_path / "requests.log"
+    requests.write_text("")
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:4]))
+    proc = _start_in_own_group(
+        tmp_path, ["--dataset", str(dataset), *external_args(tmp_path, [sys.executable, str(script), str(requests)])], jobs
+    )
+    try:
+        # Each process that runs campaigns has sent its first request, so the
+        # process for its next request has started too.
+        _await_group(proc.pid, lambda _: len(requests.read_text().splitlines()) == int(jobs), "each request sent")
+        proc.send_signal(signal.SIGTERM)  # the run alone, as a service manager or `kill` would
+        proc.wait(timeout=30)
+        _await_group(proc.pid, lambda group: not group, "every process gone")
+    finally:
+        _kill_group(proc)
+    assert proc.returncode == 143
+    assert not (tmp_path / "results.jsonl").exists()
+    # No waiting endpoint process read end of file as a request.
+    sizes = [int(size) for size in requests.read_text().splitlines()]
+    assert len(sizes) == int(jobs) and 0 not in sizes
 
 
 @JOBS
