@@ -8,19 +8,11 @@ bytes are identical no matter how campaigns are scheduled across workers.
 from __future__ import annotations
 
 import argparse
-import atexit
 import contextlib
-import io
 import json
 import logging
-import os
-import select
-import selectors
-import shlex
 import signal
-import subprocess
 import sys
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -38,17 +30,11 @@ from .buffer import (
     verify_records,
     write_lines_atomic,
 )
+from .endpoint import json_endpoint, reap_all, signals_deferred, text_endpoint
 from .molgraph import MolGraph, ParseError, canonical_form, parse_smiles
 from .seeds import derive_seed
 
 log = logging.getLogger("leadopt")
-
-# Seconds one endpoint request may take, counted from when it is sent.
-ENDPOINT_TIMEOUT_S = 60.0
-# Bytes of stdout past which an endpoint's reply fails its request.
-ENDPOINT_REPLY_LIMIT = 1 << 20
-# Bytes of a failed endpoint's stderr kept, from its end, for the message.
-_STDERR_TAIL = 4096
 
 
 class EmptyDatasetError(ValueError):
@@ -60,207 +46,6 @@ class DatasetEntry:
     smiles: str
     property_id: str
     mol: MolGraph  # the parsed row, reused by every later step
-
-
-# ---------------------------------------------------------------------------
-# Wire transports (subprocess pipe endpoints)
-# ---------------------------------------------------------------------------
-
-
-class _EndpointProcess:
-    """One started endpoint process and this process's ends of its pipes."""
-
-    def __init__(self, argv: list[str], pid: int, stdin: int, stdout: int, stderr: int) -> None:
-        self.argv = argv
-        self.pid = pid
-        self.stdin, self.stdout, self.stderr = stdin, stdout, stderr
-        self.open_fds = {stdin, stdout, stderr}
-        self.exitcode: int | None = None  # set once waited for
-
-    def close(self, fd: int) -> None:
-        self.open_fds.discard(fd)
-        os.close(fd)
-
-    def close_pipes(self) -> None:
-        while self.open_fds:
-            self.close(next(iter(self.open_fds)))
-
-    def reap(self) -> None:
-        """SIGKILL the process unless it was waited for, wait for it and close the pipes."""
-        if self.exitcode is None:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(self.pid, 0)
-        self.close_pipes()
-
-    def exchange(self, request: bytes, timeout: float) -> tuple[int, bytes, bytes]:
-        """Write ``request`` to stdin and close it, read stdout and stderr to
-        their ends, and wait for the exit, all within ``timeout`` seconds.
-
-        Returns the exit code, stdout and the last _STDERR_TAIL bytes of
-        stderr. Raises TimeoutExpired, or RuntimeError for a reply longer
-        than ENDPOINT_REPLY_LIMIT; the caller reaps the process either way.
-        """
-        deadline = time.monotonic() + timeout
-        pending = memoryview(request)
-        reply, errors = bytearray(), bytearray()
-        with selectors.DefaultSelector() as selector:
-            selector.register(self.stdin, selectors.EVENT_WRITE)
-            selector.register(self.stdout, selectors.EVENT_READ, reply)
-            selector.register(self.stderr, selectors.EVENT_READ, errors)
-            while selector.get_map():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise subprocess.TimeoutExpired(self.argv, timeout)
-                for key, _ in selector.select(remaining):
-                    if key.fd == self.stdin:
-                        try:  # a writable pipe takes PIPE_BUF bytes without blocking
-                            pending = pending[os.write(key.fd, pending[: select.PIPE_BUF]) :]
-                        except BrokenPipeError:  # the endpoint stopped reading; its exit tells why
-                            pending = pending[:0]
-                        if not pending:
-                            selector.unregister(key.fd)
-                            self.close(key.fd)
-                        continue
-                    chunk = os.read(key.fd, 1 << 16)
-                    if not chunk:
-                        selector.unregister(key.fd)
-                        self.close(key.fd)
-                    key.data.extend(chunk)
-                    del errors[:-_STDERR_TAIL]
-                    if len(reply) > ENDPOINT_REPLY_LIMIT:
-                        raise RuntimeError(
-                            f"endpoint {shlex.join(self.argv)} replied more than {ENDPOINT_REPLY_LIMIT} bytes"
-                        )
-        delay = 0.0005  # the exit follows the pipes' close; poll for it as Popen.wait does
-        while True:
-            pid, status = os.waitpid(self.pid, os.WNOHANG)
-            if pid:
-                self.exitcode = os.waitstatus_to_exitcode(status)
-                return self.exitcode, bytes(reply), bytes(errors)
-            if time.monotonic() >= deadline:
-                raise subprocess.TimeoutExpired(self.argv, timeout)
-            time.sleep(delay)
-            delay = min(2 * delay, 0.05)
-
-
-class _Endpoints:
-    """The endpoint processes of one process: every one it started and has
-    not reaped, in flight or waiting, and the waiting one for each argv."""
-
-    def __init__(self) -> None:
-        self.owner = os.getpid()
-        self.started: set[_EndpointProcess] = set()
-        self.waiting: dict[tuple[str, ...], _EndpointProcess] = {}
-
-    def spawn(self, argv: list[str]) -> _EndpointProcess:
-        """Start an endpoint process on three new pipes and record it.
-
-        SIGINT and SIGTERM wait until it is recorded, so that whatever they
-        raise finds it; the process starts with the caller's signal mask.
-        """
-        fds: list[int] = []
-        try:
-            for _ in range(3):
-                fds.extend(os.pipe())
-            in_r, in_w, out_r, out_w, err_r, err_w = fds
-            actions = [(os.POSIX_SPAWN_DUP2, fd, target) for target, fd in enumerate((in_r, out_w, err_w))]
-            with _signals_deferred() as sigmask:
-                # Python ignores SIGPIPE and SIGXFSZ, and exec would keep them
-                # ignored; Popen's restore_signals resets them too.
-                pid = os.posix_spawnp(
-                    argv[0], argv, os.environ, file_actions=actions,
-                    setsigmask=sigmask, setsigdef=(signal.SIGPIPE, signal.SIGXFSZ),
-                )
-                proc = _EndpointProcess(argv, pid, in_w, out_r, err_r)
-                self.started.add(proc)
-                fds = [in_r, out_w, err_w]  # the child's ends: this process closes its copies
-            return proc
-        finally:
-            for fd in fds:
-                os.close(fd)
-
-    def reap(self, proc: _EndpointProcess) -> None:
-        proc.reap()
-        self.started.discard(proc)
-
-    def reap_all(self) -> None:
-        self.waiting.clear()
-        while self.started:
-            self.reap(next(iter(self.started)))
-
-
-_endpoints = _Endpoints()
-
-
-def _own_endpoints() -> _Endpoints:
-    """This process's _Endpoints. A forked child starts an empty one: it
-    closes its copies of the parent's pipes, and never uses, kills or waits
-    for a process that its parent started."""
-    global _endpoints
-    if _endpoints.owner != os.getpid():
-        for proc in _endpoints.started:
-            proc.close_pipes()
-        _endpoints = _Endpoints()
-    return _endpoints
-
-
-def _reap_endpoints() -> None:
-    """SIGKILL and reap every endpoint process this process started and has not reaped."""
-    _own_endpoints().reap_all()
-
-
-atexit.register(_reap_endpoints)
-
-
-def _text(data: bytes, errors: str = "strict") -> str:
-    """``data`` decoded as Popen(text=True) decodes a pipe: in the locale's
-    encoding, with universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(data), errors=errors).read()
-
-
-def text_endpoint(argv: list[str]):
-    """One request per process: JSON on stdin, raw text reply on stdout.
-
-    Each call takes the process waiting for this argv in this process, or
-    starts one, and at once starts the next, which waits on stdin for the
-    next call's request: its start-up overlaps the work in between. A
-    waiting process that cannot start fails no call; the next call starts
-    its own. The request fails (RuntimeError or TimeoutExpired) when the
-    process exits non-zero, when it replies more than ENDPOINT_REPLY_LIMIT
-    bytes, or when ENDPOINT_TIMEOUT_S seconds pass from the request before
-    it exits; a failed process is killed and reaped. Waiting processes are
-    killed with SIGKILL, never sent end of file, by _reap_endpoints: at the
-    end of main and of a worker's _serve, and at interpreter exit.
-    """
-    argv = list(argv)
-    key = tuple(argv)
-
-    def call(request: dict) -> str:
-        endpoints = _own_endpoints()
-        proc = endpoints.waiting.pop(key, None) or endpoints.spawn(argv)
-        with contextlib.suppress(OSError):
-            endpoints.waiting[key] = endpoints.spawn(argv)
-        try:
-            code, reply, errors = proc.exchange(json.dumps(request, sort_keys=True).encode(), ENDPOINT_TIMEOUT_S)
-        finally:
-            endpoints.reap(proc)
-        if code != 0:
-            raise RuntimeError(f"endpoint {shlex.join(argv)} exited {code}: {_text(errors, 'replace').strip()}")
-        return _text(reply)
-
-    return call
-
-
-def json_endpoint(argv: list[str]):
-    """Like text_endpoint but the reply must be a single JSON document."""
-    raw = text_endpoint(argv)
-
-    def call(request: dict) -> dict:
-        return json.loads(raw(request))
-
-    return call
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +212,13 @@ def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, run_one: Calla
                 pipe.send(run_one(index))
     finally:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        _reap_endpoints()
+        reap_all()
 
 
 def _exit_on_signal(signum: int, frame) -> None:
     """Exit with 128 + signum through every finally; a repeat is ignored."""
     signal.signal(signum, signal.SIG_IGN)
     raise SystemExit(128 + signum)
-
-
-@contextlib.contextmanager
-def _signals_deferred():
-    """Block SIGINT and SIGTERM in the body and yield the mask to restore.
-    One that arrives meanwhile acts on leaving the body, so a process
-    started in it is always known to the code that reaps it."""
-    sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
-    try:
-        yield sigmask
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
 
 
 def _run_in_workers(
@@ -483,7 +256,7 @@ def _run_in_workers(
             in_flight[pipe] = index
 
     try:
-        with _signals_deferred() as sigmask:
+        with signals_deferred() as sigmask:
             serving = [lambda _: verify_records(verify[1])] if verify is not None else []
             for serve in serving + [run_one] * workers:
                 pipe, child_end = context.Pipe()
@@ -753,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        _reap_endpoints()
+        reap_all()
         signal.signal(signal.SIGTERM, caller_handler)
 
 

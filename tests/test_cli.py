@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 from leadopt import cli
+from leadopt import endpoint as ep
 from leadopt import orchestrate as orc
 from leadopt.buffer import (
     SchemaError,
@@ -1296,6 +1297,7 @@ def test_endpoints_serve_the_requests_of_one_process_per_request(tmp_path, monke
     args += external_args(tmp_path, logging_endpoint(tmp_path, "tool"), logging_endpoint(tmp_path, "evaluator"))
     with monkeypatch.context() as patched:
         patched.setattr(cli, "text_endpoint", one_shot_endpoint)
+        patched.setattr(ep, "text_endpoint", one_shot_endpoint)  # json_endpoint looks it up there
         assert cli.main([*args, "--jobs", "1", "--out", str(tmp_path / "one-shot.jsonl")]) == 0
     expected = sorted(request[:2] for request in logged_requests(tmp_path))
     # A call here leaves a tool process waiting in this process, which a
@@ -1338,13 +1340,13 @@ def test_no_endpoint_process_outlives_a_run(tmp_path, forked, spawned, jobs, end
     assert (spawned() == []) == (endpoint == "missing")
     assert _existing(pid for pid, _ in spawned()) == []
     assert _unreaped(forked) == []
-    assert cli._own_endpoints().started == set()
+    assert ep._started == set()
 
 
 def test_an_endpoint_past_the_timeout_is_killed_and_reaped(tmp_path, monkeypatch, spawned):
     script = tmp_path / "sleeps.py"
     script.write_text("import sys, time\nsys.stdin.read()\ntime.sleep(60)\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "ENDPOINT_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(ep, "ENDPOINT_TIMEOUT_S", 0.5)
     call = cli.text_endpoint([sys.executable, str(script)])
     start = time.monotonic()
     with pytest.raises(subprocess.TimeoutExpired):
@@ -1353,22 +1355,22 @@ def test_an_endpoint_past_the_timeout_is_killed_and_reaped(tmp_path, monkeypatch
     (in_flight, _), (waiting, _) = spawned()
     assert _unreaped([in_flight]) == []
     assert _existing([waiting]) == [waiting]  # started for the next request
-    cli._reap_endpoints()
+    ep.reap_all()
     assert _unreaped([waiting]) == []
 
 
 @pytest.mark.parametrize("excess", [0, 1])
 def test_a_reply_past_the_limit_fails_its_call(tmp_path, spawned, excess):
     script = tmp_path / "replies.py"
-    size = cli.ENDPOINT_REPLY_LIMIT + excess
+    size = ep.ENDPOINT_REPLY_LIMIT + excess
     script.write_text(f"import sys\nsys.stdin.read()\nsys.stdout.write('C' * {size})\n", encoding="utf-8")
     call = cli.text_endpoint([sys.executable, str(script)])
     if excess:
-        with pytest.raises(RuntimeError, match=f"replied more than {cli.ENDPOINT_REPLY_LIMIT} bytes"):
+        with pytest.raises(RuntimeError, match=f"replied more than {ep.ENDPOINT_REPLY_LIMIT} bytes"):
             call({"smiles": "CCO"})
     else:
         assert call({"smiles": "CCO"}) == "C" * size
-    cli._reap_endpoints()
+    ep.reap_all()
     assert _unreaped(pid for pid, _ in spawned()) == []
 
 
@@ -1380,7 +1382,7 @@ def test_an_endless_reply_fails_its_call_within_seconds(tmp_path, monkeypatch, s
         "import sys, time\nsys.stdin.read()\nfor _ in range(256):\n    sys.stdout.write('C' * 65536)\n"
         "sys.stdout.flush()\ntime.sleep(60)\n"
     )
-    monkeypatch.setattr(cli, "ENDPOINT_TIMEOUT_S", 10.0)
+    monkeypatch.setattr(ep, "ENDPOINT_TIMEOUT_S", 10.0)
     call = cli.text_endpoint([sys.executable, str(script)])
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="replied more than"):
@@ -1388,7 +1390,7 @@ def test_an_endless_reply_fails_its_call_within_seconds(tmp_path, monkeypatch, s
     assert time.monotonic() - start < 10
     (in_flight, _), (waiting, _) = spawned()
     assert _unreaped([in_flight]) == []
-    cli._reap_endpoints()
+    ep.reap_all()
     assert _unreaped([waiting]) == []
 
 
@@ -1398,8 +1400,8 @@ def test_a_failed_endpoint_names_the_tail_of_its_stderr(tmp_path):
     with pytest.raises(RuntimeError, match="exited 3") as caught:
         cli.text_endpoint([sys.executable, str(script)])({"smiles": "CCO"})
     assert str(caught.value).endswith("x the end")
-    assert len(str(caught.value)) < 2 * cli._STDERR_TAIL
-    cli._reap_endpoints()
+    assert len(str(caught.value)) < 2 * ep._STDERR_TAIL
+    ep.reap_all()
 
 
 @JOBS
@@ -1446,6 +1448,49 @@ def test_a_direct_call_leaves_nothing_running_at_interpreter_exit(tmp_path):
     finally:
         _kill_group(proc)
     assert (proc.returncode, output) == (0, b"<SMILES>CC</SMILES>\n\n")
+
+
+def test_a_forked_child_leaves_its_parents_endpoint_processes_alone(tmp_path, spawned):
+    call = cli.text_endpoint(logging_endpoint(tmp_path, "tool"))
+    assert "<SMILES>CC</SMILES>" in call({"smiles": "C"})
+    [waiting] = ep._waiting.values()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            if ep._started == set() and ep._waiting == {} and waiting.open_fds == set():
+                ep.reap_all()
+                code = 0
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert _existing([waiting.pid]) == [waiting.pid]
+    primed = len(spawned())
+    assert "<SMILES>CC</SMILES>" in call({"smiles": "C"})
+    assert waiting.exitcode == 0  # it served this call
+    assert len(spawned()) == primed + 1  # the next waiting process
+    assert [int(request[2]) for request in logged_requests(tmp_path)] == [os.getpid()] * 2
+    ep.reap_all()
+    assert _unreaped(pid for pid, _ in spawned()) == []
+
+
+def test_a_builtin_run_needs_no_posix_only_name(dataset, tmp_path):
+    code = (
+        "import os, signal, sys\n"
+        "for module, name in [(os, 'register_at_fork'), (os, 'fork'), (os, 'posix_spawnp'), (signal, 'pthread_sigmask')]:\n"
+        "    delattr(module, name)\n"
+        "from leadopt import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    args = ["run", "--dataset", dataset, "--steps", "1", "--jobs", "1", "--out"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args, str(tmp_path / "bare.jsonl")], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert cli.main([*args, str(tmp_path / "results.jsonl")]) == 0
+    assert (tmp_path / "bare.jsonl").read_bytes() == (tmp_path / "results.jsonl").read_bytes()
 
 
 # -- external endpoints through configs ----------------------------------------------
