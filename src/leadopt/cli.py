@@ -190,8 +190,14 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
-def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, run_one: Callable) -> None:
-    """Pool process loop: send back run_one(index) for each index read from
+# Records per verification task of a retrieve run's pool: about 25 ms of
+# parse and fingerprint work, so that a process that runs out of campaigns
+# soon finds a chunk to take, and the chunks' replies cost the parent little.
+VERIFY_CHUNK = 50
+
+
+def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, serve: Callable) -> None:
+    """Pool process loop: send back serve(task) for each task read from
     ``pipe``, until the parent sends None or goes away.
 
     Pool processes leave Ctrl-C to the parent, which terminates them. A
@@ -208,8 +214,8 @@ def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, run_one: Calla
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
         with contextlib.suppress(EOFError, BrokenPipeError):
-            for index in iter(pipe.recv, None):
-                pipe.send(run_one(index))
+            for task in iter(pipe.recv, None):
+                pipe.send(serve(task))
     finally:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         reap_all()
@@ -228,69 +234,78 @@ def _run_in_workers(
     forked processes. Fork hands each process run_one and all it refers
     to, endpoint transports and a loaded buffer included, without pickling.
 
-    Each process has its own pipe and takes one index at a time, so the
+    Each process has its own pipe and takes one task at a time, so the
     load balances and no lock is shared: terminating a process at any
     point cannot block the others or the parent. Ctrl-C waits while the
     processes start, so every started one is terminated and reaped on the
     way out. A process that dies fails the run instead of leaving it
     waiting.
 
-    ``verify``, a buffer path and its records, starts one more process of
-    the pool, first, with the single request to run buffer.verify_records:
-    its one reply is the verdict, taken as soon as it arrives and always
-    before returning, after which it is sent None. It runs no campaign. A
-    failing line raises the SchemaError that TrajectoryBuffer.load raises
-    and terminates the workers.
+    ``verify``, a buffer path and its records, splits the records into
+    chunks of VERIFY_CHUNK, each a task that runs buffer.verify_records on
+    its slice, and starts one more process of the pool, first. That
+    verifier takes only chunks and runs no campaign; each worker takes
+    campaigns while any remain, then chunks. The verdict is the first
+    failing line of the lowest-numbered failing chunk, raised as a
+    SchemaError, as TrajectoryBuffer.load raises it, once every chunk
+    before that one has replied; it terminates the pool. Nothing is
+    returned before every chunk has replied.
     """
     from multiprocessing.connection import wait
 
+    path, records = verify or (None, [])
     outcomes: list = [None] * len(entries)
-    tasks = iter(range(len(entries)))
+    campaigns = iter(range(len(entries)))
+    chunks = (slice(start, start + VERIFY_CHUNK) for start in range(0, len(records), VERIFY_CHUNK))
+    verdicts = {}  # first record of each chunk that has replied -> its failure, or None
+    verified = 0  # the records before this one are in chunks that replied None
     processes = {}  # parent end of each pipe -> its process
-    in_flight = {}  # parent end -> the index its worker runs, or None for the verdict
+    in_flight = {}  # parent end -> the task its process runs: a campaign index or a chunk's slice
+
+    def serve(task):
+        return verify_records(records[task]) if isinstance(task, slice) else run_one(task)
 
     def feed(pipe) -> None:
-        index = next(tasks, None)
-        pipe.send(index)
-        if index is not None:
-            in_flight[pipe] = index
+        task = None if pipe is verifier else next(campaigns, None)
+        if task is None:
+            task = next(chunks, None)
+        pipe.send(task)
+        if task is not None:
+            in_flight[pipe] = task
 
     try:
         with signals_deferred() as sigmask:
-            serving = [lambda _: verify_records(verify[1])] if verify is not None else []
-            for serve in serving + [run_one] * workers:
+            for _ in range(workers + (verify is not None)):
                 pipe, child_end = context.Pipe()
                 process = context.Process(target=_serve, args=(child_end, sigmask, [*processes, pipe], serve))
                 process.start()
                 child_end.close()
                 processes[pipe] = process
-        pipes = iter(processes)
-        if verify is not None:
-            verifier = next(pipes)
-            verifier.send(0)
-            in_flight[verifier] = None
-        for pipe in pipes:
+        verifier = next(iter(processes)) if verify is not None else None
+        for pipe in processes:
             feed(pipe)
         while in_flight:
             for pipe in wait(list(in_flight)):
-                index = in_flight.pop(pipe)
+                task = in_flight.pop(pipe)
                 try:
                     reply = pipe.recv()
                 except EOFError:
                     process = processes[pipe]
                     process.join()
                     running = (
-                        f"the verifier of {verify[0]}" if index is None
-                        else f"the worker running {entries[index].smiles}"
+                        f"the verifier of {path}" if isinstance(task, slice)
+                        else f"the worker running {entries[task].smiles}"
                     )
                     raise ChildProcessError(f"{running} exited with code {process.exitcode}") from None
-                if index is None:
-                    pipe.send(None)
-                    if reply is not None:
-                        raise line_error(verify[0], reply)
+                if isinstance(task, slice):
+                    verdicts[task.start] = reply
+                    while verified in verdicts:
+                        if verdicts[verified] is not None:
+                            raise line_error(path, verdicts[verified])
+                        verified += VERIFY_CHUNK
                 else:
-                    outcomes[index] = reply
-                    feed(pipe)
+                    outcomes[task] = reply
+                feed(pipe)
         return outcomes
     except BaseException:
         for process in processes.values():
@@ -314,12 +329,13 @@ def _run_campaigns(
     yields its error message instead, so one lead cannot sink the run.
 
     In retrieve mode the buffer's records are read here and the campaigns
-    run on their stored fingerprints, while one more process of the same
-    pool checks every stored lead, at any --jobs; so at --jobs 1 the
-    campaigns run in one forked worker. No output is written from an
-    unverified buffer, though campaigns may have run by the verdict. A
-    malformed line, or a platform without fork, verifies in-line before
-    any campaign.
+    run on their stored fingerprints, while the pool checks every stored
+    lead in chunks: one more process, at any --jobs, takes only chunks,
+    and each worker takes chunks once no campaign is left to start. So at
+    --jobs 1 the campaigns run in one forked worker. No output is written
+    from an unverified buffer, though campaigns may have run by the
+    verdict. A malformed line, or a platform without fork, verifies
+    in-line before any campaign; a buffer with no line needs no verifier.
 
     Returns the (entry, outcome, error) triples in dataset order and the
     skipped-row count.
@@ -342,7 +358,7 @@ def _run_campaigns(
         if args.buffer is None:
             raise orc.ConfigError("retrieve mode requires --buffer")
         records, failure = read_records(args.buffer)
-        if failure is None and context is not None:
+        if records and failure is None and context is not None:
             verify = args.buffer, records
         else:
             # A line read before the malformed one may fail verification.

@@ -1197,6 +1197,206 @@ def test_verifier_and_load_name_the_same_line_and_error_class(tmp_path, jobs, li
     assert not out.exists()
 
 
+# -- the verifier's chunks ------------------------------------------------------------
+
+
+@pytest.fixture()
+def chunks(tmp_path, monkeypatch):
+    """Two buffer records per chunk, and a file that gets "pid line..." for
+    each chunk verified, in any process."""
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
+    path = tmp_path / "chunks.log"
+    path.write_text("")
+
+    def logged(records):
+        with open(path, "a", encoding="ascii") as handle:
+            handle.write(" ".join(str(n) for n in [os.getpid(), *(lineno for lineno, _ in records)]) + "\n")
+        return verify_records(records)
+
+    monkeypatch.setattr(cli, "verify_records", logged)  # forked processes inherit the patches
+    return path
+
+
+def verified_chunks(path):
+    """(pid, line numbers) of each chunk verified, in the order the calls began."""
+    logged = [line.split() for line in path.read_text().splitlines()]
+    return [(int(pid), [int(lineno) for lineno in lines]) for pid, *lines in logged]
+
+
+def slow_chunks(monkeypatch, seconds, first_lines=None):
+    """Verifying a chunk takes ``seconds`` more, or only a chunk that starts at one of ``first_lines``."""
+    verify = cli.verify_records
+
+    def slow(records):
+        if first_lines is None or records[0][0] in first_lines:
+            time.sleep(seconds)
+        return verify(records)
+
+    monkeypatch.setattr(cli, "verify_records", slow)
+
+
+@pytest.fixture()
+def campaign_pids(tmp_path, monkeypatch):
+    """A file that gets the pid of each process, once per campaign it starts."""
+    path = tmp_path / "campaign_pids.log"
+    path.write_text("")
+    run_campaign = orc.run_campaign
+
+    def logged(config, lead):
+        with open(path, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return run_campaign(config, lead)
+
+    monkeypatch.setattr(orc, "run_campaign", logged)
+    return path
+
+
+@JOBS
+@pytest.mark.parametrize(
+    "bad_lines",
+    [(1,), (4,), (6,), (2, 5), (4, 6)],
+    ids=["first", "middle", "last", "first-and-last", "middle-and-last"],
+)
+def test_chunk_verdict_of_the_verifier_names_the_line_and_error_class_of_load(
+    tmp_path, monkeypatch, forked, chunks, jobs, bad_lines
+):
+    buffer_path = tmp_path / "buffer.jsonl"
+    lines = write_buffer(buffer_path)
+    for lineno in bad_lines:
+        lines = with_bad_fingerprint(lines, lineno)
+    write_buffer_lines(buffer_path, lines)
+    with pytest.raises(SchemaError) as loaded:
+        TrajectoryBuffer.load(str(buffer_path))
+    # The first chunk replies last, so that a later chunk's failure, if
+    # any, comes first; the workers take chunks once their lead is done.
+    slow_chunks(monkeypatch, 0.2, first_lines={1})
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:2]))
+    out = tmp_path / "results.jsonl"
+    args = cli.build_parser().parse_args(retrieve_argv(dataset, buffer_path, out, jobs))
+    with pytest.raises(SchemaError) as ran:
+        cli.run_command(args)
+    assert (type(ran.value), str(ran.value)) == (type(loaded.value), str(loaded.value))
+    assert f"{buffer_path}:{bad_lines[0]}: stored fingerprint does not match lead" == str(ran.value)
+    assert not out.exists()
+    assert len(forked) == 1 + int(jobs)
+    assert _unreaped(forked) == []
+
+
+@JOBS
+def test_the_pool_verifies_every_record_exactly_once(dataset, tmp_path, monkeypatch, forked, chunks, jobs):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path, LEADS)
+    slow_chunks(monkeypatch, 0.05)
+    assert cli.main(retrieve_argv(dataset, buffer_path, tmp_path / "results.jsonl", jobs)) == 0
+    verified = verified_chunks(chunks)
+    assert sorted(lineno for _, lines in verified for lineno in lines) == list(range(1, len(LEADS) + 1))
+    assert sorted(lines[0] for _, lines in verified) == list(range(1, len(LEADS) + 1, 2))
+    assert {pid for pid, _ in verified} <= set(forked)
+
+
+@JOBS
+def test_with_chunks_the_verifier_runs_no_campaign_and_at_most_jobs_processes_run_campaigns(
+    tmp_path, monkeypatch, forked, chunks, campaign_pids, jobs
+):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path, LEADS)
+    slow_chunks(monkeypatch, 0.05)
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:4]))
+    assert cli.main(retrieve_argv(dataset, buffer_path, tmp_path / "results.jsonl", jobs)) == 0
+    verifier, *workers = forked  # the verifier starts first
+    running = [int(pid) for pid in campaign_pids.read_text().split()]
+    assert len(running) == 4
+    assert verifier not in running
+    assert set(running) <= set(workers) and len(workers) == int(jobs)
+    assert verifier in {pid for pid, _ in verified_chunks(chunks)}
+
+
+@JOBS
+def test_a_worker_out_of_campaigns_verifies_chunks(tmp_path, monkeypatch, forked, chunks, campaign_pids, jobs):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path, LEADS)
+    slow_chunks(monkeypatch, 0.2)  # five chunks: a second in the verifier alone
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
+    (worker,) = {int(pid) for pid in campaign_pids.read_text().split()}
+    assert worker in {pid for pid, _ in verified_chunks(chunks)}
+    assert len(forked) == 2  # one lead: the verifier and one worker, at any --jobs
+    assert len(out.read_text().splitlines()) == 1
+
+
+@JOBS
+def test_a_run_waits_for_the_verdict_on_its_last_chunk_after_its_campaigns(
+    tmp_path, monkeypatch, caplog, forked, chunks, jobs
+):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 6))
+    slow_chunks(monkeypatch, 0.3)  # the campaigns are done long before the last chunk
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert f"{buffer_path}:6: stored fingerprint does not match lead" in caplog.text
+    assert not out.exists()
+    assert _unreaped(forked) == []
+
+
+@JOBS
+def test_a_worker_killed_while_it_verifies_a_chunk_fails_the_run_as_a_dead_verifier(
+    tmp_path, monkeypatch, caplog, forked, chunks, jobs
+):
+    ran = []  # a process's own copy once forked
+    run_campaign = orc.run_campaign
+
+    def noted(config, lead):
+        ran.append(lead)
+        return run_campaign(config, lead)
+
+    verify = cli.verify_records
+
+    def killed_after_a_campaign(records):
+        time.sleep(0.2)  # the verifier alone would take a second
+        if ran:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return verify(records)
+
+    monkeypatch.setattr(orc, "run_campaign", noted)
+    monkeypatch.setattr(cli, "verify_records", killed_after_a_campaign)
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path, LEADS)
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert f"the verifier of {buffer_path} exited with code -9" in caplog.text
+    assert not out.exists()
+    assert ran == []  # the run's own process ran no campaign
+    assert len(forked) == 2 and _unreaped(forked) == []
+
+
+@JOBS
+def test_an_empty_buffer_needs_no_verifier_and_gives_the_bytes_of_in_line_verification(
+    dataset, tmp_path, monkeypatch, forked, jobs
+):
+    buffer_path = tmp_path / "buffer.jsonl"
+    buffer_path.write_text("")
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
+    assert len(forked) == (0 if jobs == "1" else int(jobs))  # the workers alone
+    assert _unreaped(forked) == []
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    in_line = tmp_path / "in-line.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, in_line, "1")) == 0
+    assert out.read_bytes() == in_line.read_bytes()
+
+
 def test_endpoint_failure_names_whole_argv(tmp_path):
     script = tmp_path / "failing endpoint.py"
     script.write_text("import sys\nsys.exit(3)\n", encoding="utf-8")
