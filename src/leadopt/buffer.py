@@ -192,14 +192,15 @@ def write_lines_atomic(path: str, lines: list[str]) -> None:
 def read_json_lines(path: str) -> Iterator[tuple[int, object]]:
     """(line number, JSON value) for each non-blank line; lines end as in text mode.
 
-    A line that is not UTF-8 or not JSON, or nests deeper than the decoder
-    can recurse, yields a ValueError as the value.
+    Blank means empty or JSON whitespace only (space, tab, CR, LF). A line
+    that is not UTF-8 or not JSON, or nests deeper than the decoder can
+    recurse, yields a ValueError as the value.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8").strip(" \t\r\n")
             if not line:
                 continue
             value = json.loads(line)

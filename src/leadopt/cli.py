@@ -190,7 +190,7 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
-# Records per verification task of a retrieve run's pool: about 25 ms of
+# Records per verification task of a retrieve run's pool: about 11 ms of
 # parse and fingerprint work, so that a process that runs out of campaigns
 # soon finds a chunk to take, and the chunks' replies cost the parent little.
 VERIFY_CHUNK = 50
@@ -312,7 +312,11 @@ def _run_in_workers(
             process.terminate()
         raise
     finally:
-        for process in processes.values():
+        # A process whose SystemExit from terminate() was lost (raised in a
+        # finalizer, which Python reports and drops) ignores SIGTERM from
+        # then on; the closed pipe ends its wait for a task.
+        for pipe, process in processes.items():
+            pipe.close()
             process.join()
 
 

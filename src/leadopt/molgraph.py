@@ -17,10 +17,12 @@ import re
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 # Bond order codes. AROMATIC marks bonds inside perceived aromatic rings;
 # validation checks that an alternating single/double assignment exists.
 SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, 4
+_MULTIPLE = (DOUBLE, TRIPLE)
 
 AROMATIC_ELEMENTS = ("B", "C", "N", "O", "P", "S")
 
@@ -54,6 +56,7 @@ CHARGED_VALENCE = {
 }
 
 _BOND_FOR_SYMBOL = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC, "/": SINGLE, "\\": SINGLE}
+_RING_DIGITS = frozenset("0123456789")
 
 # One SMILES token per match, in ASCII only: the alternatives are the
 # grammar, so a character no alternative names is an error, not a guess.
@@ -68,6 +71,9 @@ _TOKEN = re.compile(
     r"|(?P<other>\[[^\]]*\]|.)",  # a bad bracket atom, or any other character
     re.DOTALL,
 )
+# The same grammar without its groups, so that findall lists the tokens as
+# strings; the text of a token names its kind, but for a bracket atom.
+_TOKEN_TEXT = re.compile(re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern), re.DOTALL)
 
 
 class ParseError(ValueError):
@@ -166,11 +172,12 @@ class MolGraph:
         n = len(self.atoms)
         seen = set()
         for bond in self.bonds:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise ValueError(f"bond {bond.pair} out of range")
-            if bond.pair in seen:
-                raise ValueError(f"duplicate bond {bond.pair}")
-            seen.add(bond.pair)
+            pair = (bond.a, bond.b)
+            if pair[0] < 0 or pair[1] >= n:  # a < b, as Bond orders them
+                raise ValueError(f"bond {pair} out of range")
+            if pair in seen:
+                raise ValueError(f"duplicate bond {pair}")
+            seen.add(pair)
 
 
 @dataclass(frozen=True)
@@ -186,13 +193,17 @@ class ValidityReport:
 
 def neighbors(mol: MolGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Adjacency list: for each atom, (neighbor index, bond index) pairs."""
-    if "adj" not in mol._cache:
-        adj = [[] for _ in mol.atoms]
+    adj = mol._cache.get("adj")
+    if adj is None:
+        lists = [[] for _ in mol.atoms]
         for bi, bond in enumerate(mol.bonds):
-            adj[bond.a].append((bond.b, bi))
-            adj[bond.b].append((bond.a, bi))
-        mol._cache["adj"] = tuple(tuple(sorted(a)) for a in adj)
-    return mol._cache["adj"]
+            a, b = bond.a, bond.b
+            lists[a].append((b, bi))
+            lists[b].append((a, bi))
+        for pairs in lists:
+            pairs.sort()
+        adj = mol._cache["adj"] = tuple(map(tuple, lists))
+    return adj
 
 
 def ring_bond_flags(mol: MolGraph) -> tuple[bool, ...]:
@@ -214,18 +225,22 @@ def _pi_need(mol: MolGraph, idx: int) -> int:
     are pyrrole-like (none); o/s contribute lone pairs only. Bracket atoms
     decide by whether sigma valence plus one lands in the allowed table.
     """
-    atom = mol.atoms[idx]
-    adj = neighbors(mol)[idx]
-    if any(mol.bonds[bi].order in (DOUBLE, TRIPLE) for _, bi in adj):
-        return 0
-    degree = len(adj)  # the sigma valence: every bond left is single or aromatic
+    return _atom_pi_need(mol.atoms[idx], neighbors(mol)[idx], mol.bonds)
+
+
+def _atom_pi_need(atom: Atom, bonded: tuple[tuple[int, int], ...], bonds: tuple[Bond, ...]) -> int:
+    """_pi_need of an atom with the given (neighbour, bond index) pairs."""
+    for _, bi in bonded:
+        if bonds[bi].order in _MULTIPLE:
+            return 0
+    degree = len(bonded)  # the sigma valence: every bond left is single or aromatic
     if atom.explicit_h is not None or atom.formal_charge != 0:
         sigma = degree + (atom.explicit_h or 0)
-        allowed = allowed_valences(atom.element, atom.formal_charge)
-        return 1 if sigma + 1 in allowed else 0
-    if atom.element in ("C", "B"):
-        return 1 if atom.element == "C" or degree == 2 else 0
-    if atom.element in ("N", "P"):
+        return 1 if sigma + 1 in allowed_valences(atom.element, atom.formal_charge) else 0
+    element = atom.element
+    if element == "C":
+        return 1
+    if element in ("N", "P", "B"):
         return 1 if degree == 2 else 0
     return 0  # O, S
 
@@ -236,15 +251,29 @@ def _pi_atoms(mol: MolGraph) -> frozenset[int] | None:
     Each needs a partner across one aromatic bond: a perfect matching, which
     exists iff each atom still unmatched in turn has an augmenting path.
     """
-    need = [i for i, atom in enumerate(mol.atoms) if atom.aromatic and _pi_need(mol, i) == 1]
+    atoms, bonds, adj = mol.atoms, mol.bonds, neighbors(mol)
+    need = [i for i, atom in enumerate(atoms) if atom.aromatic and _atom_pi_need(atom, adj[i], bonds)]
+    # Each atom in turn takes a free partner if it has one. Augmenting paths
+    # are then searched only from the atoms left over: an atom without one
+    # rules out a perfect matching, whatever the matching started from.
+    mate = dict.fromkeys(need, -1)
+    for i in need:
+        if mate[i] < 0:
+            for j, bi in adj[i]:
+                if mate.get(j, 0) < 0 and bonds[bi].order == AROMATIC:
+                    mate[i], mate[j] = j, i
+                    break
+    if -1 not in mate.values():
+        return frozenset(need)
     slot = {atom: k for k, atom in enumerate(need)}
-    adj: list[list[int]] = [[] for _ in need]
-    for bond in mol.bonds:
+    partners: list[list[int]] = [[] for _ in need]
+    for bond in bonds:
         if bond.order == AROMATIC and bond.a in slot and bond.b in slot:
-            adj[slot[bond.a]].append(slot[bond.b])
-            adj[slot[bond.b]].append(slot[bond.a])
-    match = [-1] * len(need)
-    if all(match[root] >= 0 or _augment(adj, match, root) for root in range(len(need))):
+            ka, kb = slot[bond.a], slot[bond.b]
+            partners[ka].append(kb)
+            partners[kb].append(ka)
+    match = [slot.get(mate[i], -1) for i in need]
+    if all(match[root] >= 0 or _augment(partners, match, root) for root in range(len(need))):
         return frozenset(need)
     return None
 
@@ -314,25 +343,27 @@ def _perceive(mol: MolGraph) -> tuple[tuple[bool, ...], tuple[bool, ...], tuple[
         violations.append((-1, "empty", "molecule has no atoms"))
     depth = [-1] * len(atoms)
     up = [(-1, -1)] * len(atoms)  # (parent atom, forest bond); (-1, -1) at a root
+    in_forest = [False] * len(bonds)
     for root in range(len(atoms)):
         if depth[root] >= 0:
             continue
         if root and not violations:  # the first root after atom 0's tree
             violations.append((root, "disconnected", "atom unreachable from atom 0"))
         depth[root] = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
+        reached = [root]
+        for node in reached:  # breadth first
+            below = depth[node] + 1
             for other, bi in adj[node]:
                 if depth[other] < 0:
-                    depth[other], up[other] = depth[node] + 1, (node, bi)
-                    stack.append(other)
+                    depth[other], up[other] = below, (node, bi)
+                    in_forest[bi] = True
+                    reached.append(other)
     ring_bonds = [False] * len(bonds)
     ring_atoms = [False] * len(atoms)
     for bi, bond in enumerate(bonds):
-        a, b = bond.pair
-        if up[a][1] == bi or up[b][1] == bi:
+        if in_forest[bi]:
             continue
+        a, b = bond.a, bond.b
         ring_bonds[bi] = ring_atoms[a] = ring_atoms[b] = True
         while a != b:  # climb from the deeper end until the two ends meet
             if depth[a] < depth[b]:
@@ -344,44 +375,44 @@ def _perceive(mol: MolGraph) -> tuple[tuple[bool, ...], tuple[bool, ...], tuple[
     sums = [0] * len(atoms)  # aromatic bonds count 1 here, pi atoms 1 more below
     arom_core = [0] * len(atoms)
     for bi, bond in enumerate(bonds):
-        order = bond.order
+        a, b, order = bond.a, bond.b, bond.order
         if order == AROMATIC:
-            for idx in bond.pair:
-                if not atoms[idx].aromatic:
-                    violations.append((idx, "aromatic", "aromatic bond on non-aromatic atom"))
+            if not atoms[a].aromatic:
+                violations.append((a, "aromatic", "aromatic bond on non-aromatic atom"))
+            if not atoms[b].aromatic:
+                violations.append((b, "aromatic", "aromatic bond on non-aromatic atom"))
             if not ring_bonds[bi]:
-                violations.append((bond.a, "aromatic", "aromatic bond outside any ring"))
-            arom_core[bond.a] += 1
-            arom_core[bond.b] += 1
+                violations.append((a, "aromatic", "aromatic bond outside any ring"))
+            arom_core[a] += 1
+            arom_core[b] += 1
             order = SINGLE
-        sums[bond.a] += order
-        sums[bond.b] += order
-    for idx, atom in enumerate(atoms):
-        if atom.aromatic and arom_core[idx] < 2:
+        sums[a] += order
+        sums[b] += order
+    aromatic = [idx for idx, atom in enumerate(atoms) if atom.aromatic]
+    for idx in aromatic:
+        if arom_core[idx] < 2:
             violations.append((idx, "aromatic", "aromatic atom outside an aromatic ring"))
 
     pi = None
     if len(violations) == connectivity:  # no aromatic violation
         pi = _pi_atoms(mol)
         if pi is None:
-            first = next(i for i, atom in enumerate(atoms) if atom.aromatic)
-            violations.append((first, "kekulize", "no alternating bond assignment for aromatic system"))
+            violations.append((aromatic[0], "kekulize", "no alternating bond assignment for aromatic system"))
     if pi is not None:
         for idx in pi:
             sums[idx] += 1
-        for idx, (atom, bondsum) in enumerate(zip(atoms, sums)):
+        for idx, atom in enumerate(atoms):
+            bondsum = sums[idx]
             allowed = allowed_valences(atom.element, atom.formal_charge)
             if atom.explicit_h is None:
                 if bondsum > max(allowed):
                     violations.append(
                         (idx, "valence", f"{atom.element} bond-order sum {bondsum} exceeds {max(allowed)}")
                     )
-            else:
-                total = bondsum + atom.explicit_h
-                if total not in allowed:
-                    violations.append(
-                        (idx, "valence", f"{atom.element} total valence {total} not in {allowed}")
-                    )
+            elif bondsum + atom.explicit_h not in allowed:
+                violations.append(
+                    (idx, "valence", f"{atom.element} total valence {bondsum + atom.explicit_h} not in {allowed}")
+                )
     record = (
         tuple(ring_bonds),
         tuple(ring_atoms),
@@ -404,19 +435,30 @@ def bond_order_sums(mol: MolGraph) -> tuple[int, ...]:
 
 def hydrogen_counts(mol: MolGraph) -> tuple[int, ...]:
     """Total hydrogens per atom: explicit where given, else derived."""
-    if "hcounts" in mol._cache:
-        return mol._cache["hcounts"]
-    counts = []
-    for atom, bondsum in zip(mol.atoms, bond_order_sums(mol)):
-        if atom.explicit_h is not None:
-            counts.append(atom.explicit_h)
-            continue
-        allowed = allowed_valences(atom.element, atom.formal_charge)
-        target = min((v for v in allowed if v >= bondsum), default=bondsum)
-        counts.append(max(0, target - bondsum))
-    result = tuple(counts)
-    mol._cache["hcounts"] = result
-    return result
+    counts = mol._cache.get("hcounts")
+    if counts is None:
+        counts = mol._cache["hcounts"] = tuple(
+            [
+                _implicit_hydrogens(atom.element, atom.formal_charge, bondsum)
+                if atom.explicit_h is None
+                else atom.explicit_h
+                for atom, bondsum in zip(mol.atoms, bond_order_sums(mol))
+            ]
+        )
+    return counts
+
+
+# The hydrogens of an atom without an explicit count, by (element, charge,
+# bond-order sum); few keys recur, and the bound keeps the table small.
+HYDROGEN_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=HYDROGEN_MEMO_SIZE)
+def _implicit_hydrogens(element: str, charge: int, bondsum: int) -> int:
+    """Hydrogens that bring bondsum up to the lowest allowed valence at or
+    above it; none past the highest."""
+    target = min((v for v in allowed_valences(element, charge) if v >= bondsum), default=bondsum)
+    return max(0, target - bondsum)
 
 
 def free_valence(mol: MolGraph, idx: int) -> int:
@@ -441,8 +483,9 @@ def validate(mol: MolGraph) -> ValidityReport:
 _IMPLICIT = 0  # provisional order for bonds written without a symbol
 
 # Atoms are values, so every organic-subset token of a kind shares one Atom.
-_ORGANIC_ATOMS = {element: Atom(element) for element in ALLOWED_VALENCE}
-_AROMATIC_ATOMS = {element.lower(): Atom(element, aromatic=True) for element in AROMATIC_ELEMENTS}
+_TOKEN_ATOMS = {element: Atom(element) for element in ALLOWED_VALENCE} | {
+    element.lower(): Atom(element, aromatic=True) for element in AROMATIC_ELEMENTS
+}
 
 
 def _parse_bracket(match: re.Match) -> Atom:
@@ -481,76 +524,70 @@ def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int]]]:
     pending_order: int | None = None
     ring_open: dict[int, tuple[int, int | None]] = {}
 
-    def add_bond(a: int, b: int, order: int) -> None:
-        pair = (min(a, b), max(a, b))
-        if a == b:
-            raise RingError("ring closure bonds an atom to itself")
-        if pair in bonded_pairs:
-            raise RingError(f"duplicate bond between atoms {pair}")
-        bonded_pairs.add(pair)
-        bonds.append((a, b, order))
-
-    def add_atom(atom: Atom) -> None:
-        nonlocal prev, pending_order
+    # Kinds by measured frequency, of the 67,797 tokens parsed in a seed-2026 retrieve
+    # benchmark run: aromatic 31 %, atom 22 %, '(' and ')' 15 % each, ring 15 %, bond 3 %.
+    tokens = _TOKEN_TEXT.findall(text)
+    for token in tokens:
+        atom = _TOKEN_ATOMS.get(token)  # an organic-subset or aromatic atom
+        if atom is None:
+            if token[0] == "[":
+                match = _TOKEN.match(token)  # the groups of the same token
+                if match.lastgroup != "bracket":
+                    if token == "[":
+                        raise SmilesSyntaxError("unclosed bracket atom")
+                    raise SmilesSyntaxError(f"bad bracket atom {token}")
+                atom = _parse_bracket(match)
+            else:
+                if token == "(":
+                    if prev is None:
+                        raise SmilesSyntaxError("branch before any atom")
+                    branch_stack.append(prev)
+                elif token == ")":
+                    if not branch_stack:
+                        raise SmilesSyntaxError("unbalanced ')'")
+                    if pending_order is not None:
+                        raise SmilesSyntaxError("dangling bond symbol before ')'")
+                    prev = branch_stack.pop()
+                elif token in _RING_DIGITS or token[0] == "%" and len(token) == 3:
+                    if prev is None:
+                        raise SmilesSyntaxError("ring digit before any atom")
+                    digit = int(token.lstrip("%"))
+                    if digit in ring_open:
+                        other, open_order = ring_open.pop(digit)
+                        if open_order is not None and pending_order is not None and open_order != pending_order:
+                            raise RingError(f"conflicting bond symbols on ring digit {digit}")
+                        if other == prev:
+                            raise RingError("ring closure bonds an atom to itself")
+                        pair = (min(other, prev), max(other, prev))
+                        if pair in bonded_pairs:
+                            raise RingError(f"duplicate bond between atoms {pair}")
+                        bonded_pairs.add(pair)
+                        order = pending_order if pending_order is not None else open_order
+                        bonds.append((other, prev, order if order is not None else _IMPLICIT))
+                    else:
+                        ring_open[digit] = (prev, pending_order)
+                    pending_order = None
+                elif token in _BOND_FOR_SYMBOL:
+                    if pending_order is not None:
+                        raise SmilesSyntaxError("two consecutive bond symbols")
+                    pending_order = _BOND_FOR_SYMBOL[token]
+                elif token == "%":
+                    raise SmilesSyntaxError("'%' must be followed by two digits")
+                else:
+                    # Any earlier token of this text raised already, so this is its first.
+                    position = sum(map(len, tokens[: tokens.index(token)]))
+                    raise SmilesSyntaxError(f"unexpected character {token!r} at position {position}")
+                continue
+        # A new atom: its bond to the atom before it cannot repeat one.
+        idx = len(atoms)
         atoms.append(atom)
-        idx = len(atoms) - 1
         if prev is not None:
-            order = pending_order if pending_order is not None else _IMPLICIT
-            add_bond(prev, idx, order)
+            bonded_pairs.add((prev, idx))
+            bonds.append((prev, idx, pending_order if pending_order is not None else _IMPLICIT))
         elif pending_order is not None:
             raise SmilesSyntaxError("bond symbol before any atom")
         prev = idx
         pending_order = None
-
-    def close_ring(digit: int) -> None:
-        nonlocal pending_order
-        if prev is None:
-            raise SmilesSyntaxError("ring digit before any atom")
-        if digit in ring_open:
-            other, open_order = ring_open.pop(digit)
-            order = pending_order
-            if open_order is not None and order is not None and open_order != order:
-                raise RingError(f"conflicting bond symbols on ring digit {digit}")
-            final = order if order is not None else open_order
-            add_bond(other, prev, final if final is not None else _IMPLICIT)
-        else:
-            ring_open[digit] = (prev, pending_order)
-        pending_order = None
-
-    # Kinds by measured frequency, of the 67,797 tokens parsed in a seed-2026 retrieve
-    # benchmark run: aromatic 31 %, atom 22 %, '(' and ')' 15 % each, ring 15 %, bond 3 %.
-    for match in _TOKEN.finditer(text):
-        kind, token = match.lastgroup, match[0]
-        if kind == "aromatic":
-            add_atom(_AROMATIC_ATOMS[token])
-        elif kind == "atom":
-            add_atom(_ORGANIC_ATOMS[token])
-        elif token == "(":
-            if prev is None:
-                raise SmilesSyntaxError("branch before any atom")
-            branch_stack.append(prev)
-        elif token == ")":
-            if not branch_stack:
-                raise SmilesSyntaxError("unbalanced ')'")
-            if pending_order is not None:
-                raise SmilesSyntaxError("dangling bond symbol before ')'")
-            prev = branch_stack.pop()
-        elif kind == "ring":
-            close_ring(int(token.lstrip("%")))
-        elif kind == "bond":
-            if pending_order is not None:
-                raise SmilesSyntaxError("two consecutive bond symbols")
-            pending_order = _BOND_FOR_SYMBOL[token]
-        elif kind == "bracket":
-            add_atom(_parse_bracket(match))
-        elif token == "[":
-            raise SmilesSyntaxError("unclosed bracket atom")
-        elif token[0] == "[":
-            raise SmilesSyntaxError(f"bad bracket atom {token}")
-        elif token == "%":
-            raise SmilesSyntaxError("'%' must be followed by two digits")
-        else:
-            raise SmilesSyntaxError(f"unexpected character {token!r} at position {match.start()}")
 
     if branch_stack:
         raise SmilesSyntaxError("unclosed branch")
@@ -564,26 +601,38 @@ def _parse_fragment(text: str) -> tuple[list[Atom], list[tuple[int, int, int]]]:
     return atoms, bonds
 
 
+# Parsed bonds are values too. The (a, b, order) triples of parsed molecules
+# recur (718 distinct in a 1,200-lead buffer), so each is made once; the
+# bound keeps the memo's memory fixed for the life of the process.
+BOND_MEMO_SIZE = 4096
+_bond = lru_cache(maxsize=BOND_MEMO_SIZE)(Bond)
+
+
 def _resolve_orders(atoms: list[Atom], raw_bonds: list[tuple[int, int, int]]) -> MolGraph:
     """Resolve implicit bond orders, demoting non-ring aromatic contacts."""
     provisional = []
+    implicit_aromatic = []
     for a, b, order in raw_bonds:
         if order == _IMPLICIT:
-            order = AROMATIC if atoms[a].aromatic and atoms[b].aromatic else SINGLE
-        provisional.append(Bond(a, b, order))
+            if atoms[a].aromatic and atoms[b].aromatic:
+                implicit_aromatic.append(len(provisional))
+                order = AROMATIC
+            else:
+                order = SINGLE
+        provisional.append(_bond(a, b, order))
     mol = MolGraph(tuple(atoms), tuple(provisional))
+    if not implicit_aromatic:
+        return mol
     ring = ring_bond_flags(mol)
-    resolved = []
-    changed = False
-    for bi, ((a, b, order), bond) in enumerate(zip(raw_bonds, provisional)):
-        if order == _IMPLICIT and bond.order == AROMATIC and not ring[bi]:
-            # Implicit bond between aromatic atoms outside any ring is a
-            # plain single bond (e.g. the biphenyl linker).
-            resolved.append(Bond(a, b, SINGLE))
-            changed = True
-        else:
-            resolved.append(bond)
-    return MolGraph(tuple(atoms), tuple(resolved)) if changed else mol
+    # An implicit bond between aromatic atoms outside any ring is a plain
+    # single bond (e.g. the biphenyl linker).
+    chain = [bi for bi in implicit_aromatic if not ring[bi]]
+    if not chain:
+        return mol
+    for bi in chain:
+        a, b, _ = raw_bonds[bi]
+        provisional[bi] = _bond(a, b, SINGLE)
+    return MolGraph(tuple(atoms), tuple(provisional))
 
 
 def parse_smiles(text: str) -> MolGraph:
@@ -926,16 +975,20 @@ def canonical_ranks(mol: MolGraph) -> tuple[int, ...]:
     path: list[_SearchNode] = []
     labels, cells = _partition(initial)
     changed: Sequence[int] = range(len(labels))
+    start = 0  # every cell below the one last individualized is one atom
     while True:
         _refine(bonded, labels, cells, changed)
-        tied = [start for start, members in cells.items() if len(members) > 1]
-        if tied:
+        # Refinement only splits cells, so the lowest tied cell is at or
+        # above the start of the cell last individualized.
+        while start < len(labels) and len(cells[start]) == 1:
+            start += 1
+        if start < len(labels):
             if path:
                 chosen = path[-1].explored[-1]
                 fixing = [moved for moved in path[-1].automorphisms if chosen not in moved]
             else:
                 fixing = []
-            path.append(_SearchNode(labels, cells, cells[min(tied)], fixing))
+            path.append(_SearchNode(labels, cells, cells[start], fixing))
         else:
             # Every cell is one atom, so each label is the atom's rank.
             ranks = labels

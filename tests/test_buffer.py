@@ -276,9 +276,24 @@ def flipped_bit_lines():
     return [json.dumps(data)]
 
 
+# Characters that str.strip() removes but JSON does not count as whitespace,
+# and that no line end splits off.
+NON_JSON_SPACES = ["\u3000", "\x1c", "\x85", "\xa0", "\x0b", "\x0c"]
+
+
+def non_json_space_lines(space, padded):
+    """A good line, then a good line padded with ``space`` or ``space`` alone."""
+    return [good_line(), good_line() + space if padded else space]
+
+
 MALFORMED_BUFFERS = [
     pytest.param(tampered_fingerprint_lines, (), id="tampered-fingerprint"),
     pytest.param(lambda: ["{not json}"], (), id="malformed-line"),
+    *(
+        pytest.param(non_json_space_lines, (space, padded), id=f"{'padded' if padded else 'lone'}-{space!r}")
+        for space in NON_JSON_SPACES
+        for padded in (True, False)
+    ),
     *(pytest.param(bad_lead_lines, (lead,), id=f"lead-{lead!r}") for lead in BAD_LEADS),
     *(pytest.param(wrongly_typed_lines, case, id=f"wrong-type-{case!r}") for case in WRONGLY_TYPED_FIELDS),
     *(pytest.param(other_fp_shape_lines, case, id=f"fp-shape-{case!r}") for case in OTHER_FP_SHAPES),
@@ -299,6 +314,21 @@ def test_load_rejects_malformed_line(tmp_path):
     path.write_text("{not json}\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         TrajectoryBuffer.load(str(path))
+
+
+@pytest.mark.parametrize("padded", [True, False], ids=["padded", "lone"])
+@pytest.mark.parametrize("space", NON_JSON_SPACES, ids=repr)
+def test_load_rejects_a_line_with_whitespace_json_does_not_allow(tmp_path, space, padded):
+    path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(path, non_json_space_lines(space, padded))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ")):
+        TrajectoryBuffer.load(str(path))
+
+
+def test_load_skips_lines_of_json_whitespace(tmp_path):
+    path = tmp_path / "buffer.jsonl"
+    path.write_bytes(b" \t\n" + good_line().encode() + b"\t \r\n\n\r" + good_line().encode() + b" \n")
+    assert len(TrajectoryBuffer.load(str(path))) == 2
 
 
 @pytest.mark.parametrize("lead", BAD_LEADS, ids=["unparseable-lead", "numeric-lead"])

@@ -26,7 +26,7 @@ from leadopt.fingerprint import morgan_fp
 from leadopt.molgraph import canonical_form, parse_smiles
 
 from _molbuild import lead_pool
-from test_buffer import MALFORMED_BUFFERS, write_buffer_lines
+from test_buffer import MALFORMED_BUFFERS, NON_JSON_SPACES, non_json_space_lines, write_buffer_lines
 
 LEADS = [canonical_form(mol) for mol in lead_pool(701, 10)]
 
@@ -136,6 +136,21 @@ def test_row_with_a_non_ascii_digit_is_skipped(tmp_path, caplog):
     assert cli.main(["run", "--dataset", str(path), "--steps", "1", "--out", str(out)]) == 0
     assert f"{path}:1: unparseable SMILES" in caplog.text
     assert [json.loads(line)["lead"] for line in out.read_text().splitlines()] == LEADS[:1]
+
+
+@pytest.mark.parametrize("padded", [True, False], ids=["padded", "lone"])
+@pytest.mark.parametrize("space", NON_JSON_SPACES, ids=repr)
+def test_row_with_whitespace_json_does_not_allow_is_skipped(tmp_path, space, padded, caplog):
+    # str.strip() used to remove these, so the padded row read as JSON and
+    # the lone one was skipped as blank without a warning.
+    row = json.dumps({"smiles": "CCN", "property": "plogp"})
+    path = tmp_path / "rows.jsonl"
+    line = row + space if padded else space
+    path.write_text(json.dumps({"smiles": "CCO", "property": "plogp"}) + "\n" + line + "\n")
+    entries, skipped = cli.ingest(str(path), {"plogp"})
+    assert [entry.smiles for entry in entries] == ["CCO"]
+    assert skipped == 1
+    assert f"{path}:2: skipping malformed row" in caplog.text
 
 
 def test_row_nested_deeper_than_the_json_decoder_recurses_is_skipped(tmp_path, caplog):
@@ -900,6 +915,20 @@ def test_retrieve_with_undecodable_buffer_line_exits_2(dataset, tmp_path, caplog
     assert f"{buffer_path}:1:" in caplog.text
 
 
+@pytest.mark.parametrize("padded", [True, False], ids=["padded", "lone"])
+@pytest.mark.parametrize("space", ["\u3000", "\x1c"], ids=repr)
+def test_retrieve_with_buffer_line_of_whitespace_json_does_not_allow_exits_2(dataset, tmp_path, space, padded, caplog):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, non_json_space_lines(space, padded))
+    out = tmp_path / "results.jsonl"
+    code = cli.main(
+        ["run", "--mode", "retrieve", "--dataset", dataset, "--buffer", str(buffer_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert f"{buffer_path}:2:" in caplog.text
+    assert not out.exists()
+
+
 # -- the retrieve buffer's verifier --------------------------------------------------
 
 JOBS = pytest.mark.parametrize("jobs", ["1", "2"], ids=lambda jobs: f"jobs{jobs}")
@@ -1017,6 +1046,30 @@ def test_at_most_jobs_processes_run_campaigns_and_the_verifier_runs_none(dataset
     assert 1 <= len(set(campaigns)) <= int(jobs)
     assert verifier not in campaigns
     assert os.getpid() not in [verifier, *campaigns]
+
+
+@JOBS
+def test_a_worker_that_outlives_terminate_does_not_hold_the_verdict(
+    dataset, tmp_path, monkeypatch, caplog, forked, jobs
+):
+    # The worker ignores SIGTERM, as a pool process does once the SystemExit
+    # of its handler is lost (say, raised in a finalizer), while the verifier
+    # finds line 1 bad; the run must still exit 2 and reap it, not wait.
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 1))
+    run_campaign = orc.run_campaign
+
+    def deaf_campaign(config, mol):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(0.2)
+        return run_campaign(config, mol)
+
+    monkeypatch.setattr(orc, "run_campaign", deaf_campaign)
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert f"{buffer_path}:1: stored fingerprint does not match lead" in caplog.text
+    assert not out.exists()
+    assert forked and _unreaped(forked) == []
 
 
 @JOBS

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leadopt import fingerprint
 from leadopt.fingerprint import (
     NBITS,
     RADIUS,
@@ -241,10 +242,16 @@ SMALL_AND_BRACKET = (
 @settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(5, 40))
 def test_kernel_matches_reference_on_random_graphs(seed, n_max):
+    # Each graph is fingerprinted first with every memo empty, then again,
+    # as a fresh molecule, with the memos holding its own environments.
     mol = random_molgraph(random.Random(seed), n_max=n_max)
     relabelled = permuted_copy(mol, random.Random(seed))
-    assert morgan_fp(mol).bits == _reference_morgan_fp(mol)
-    assert morgan_fp(relabelled).bits == _reference_morgan_fp(relabelled)
+    for graph in (mol, relabelled):
+        expected = _reference_morgan_fp(graph)
+        fingerprint._hash_recurring.cache_clear()
+        fingerprint._hash_environment_recurring.cache_clear()
+        assert morgan_fp(MolGraph(graph.atoms, graph.bonds)).bits == expected
+        assert morgan_fp(MolGraph(graph.atoms, graph.bonds)).bits == expected
 
 
 @settings(max_examples=8)

@@ -5,9 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leadopt import evaluate as ev
+from leadopt import fingerprint
+from leadopt import molgraph as mg
 from leadopt import tools as tl
 from leadopt.fingerprint import morgan_fp
 from leadopt.molgraph import (
+    ALLOWED_VALENCE,
     AROMATIC,
     DOUBLE,
     SINGLE,
@@ -369,3 +372,59 @@ def test_one_cache_entry_per_concept():
     canonical_form(mol)
     morgan_fp(mol)
     assert set(mol._cache) == {"adj", "perception", "hcounts", "canonical", "fingerprint"}
+
+
+# -- memos and interned values --------------------------------------------------------
+
+
+def test_hydrogen_counts_follow_the_valence_table_for_every_key():
+    # Every element, every charge in and around the charged table, no or an
+    # explicit hydrogen count, and every bond-order sum up to past the
+    # largest valence; one process fills the table in this order.
+    mg._implicit_hydrogens.cache_clear()
+    for element in ALLOWED_VALENCE:
+        for charge in range(-3, 4):
+            for explicit_h in (None, 0, 1, 2, 3, 4):
+                for bondsum in range(9):
+                    centre = Atom(element, formal_charge=charge, explicit_h=explicit_h)
+                    mol = MolGraph(
+                        (centre,) + (Atom("F"),) * bondsum,
+                        tuple(Bond(0, k, SINGLE) for k in range(1, bondsum + 1)),
+                    )
+                    expected = reference.hydrogen_counts(MolGraph(mol.atoms, mol.bonds))
+                    assert hydrogen_counts(mol) == expected, (element, charge, explicit_h, bondsum)
+
+
+@settings(max_examples=100)
+@given(
+    text=st.sampled_from(CURATED_SMILES)
+    | st.integers(0, 2**32 - 1).map(lambda seed: write_smiles(random_molgraph(random.Random(seed), 1, 40)))
+)
+def test_two_parses_give_equal_equally_hashed_bonds_and_graphs(text):
+    mg._bond.cache_clear()
+    first = parse_smiles(text)
+    second = parse_smiles(text)
+    mg._bond.cache_clear()
+    third = parse_smiles(text)
+    made = tuple(Bond(bond.a, bond.b, bond.order) for bond in first.bonds)
+    for other in (second, third):
+        assert other.bonds == first.bonds == made
+        assert hash(other.bonds) == hash(first.bonds) == hash(made)
+        assert other == first and hash(other) == hash(first)
+    # Bonds are interned while the memo holds them.
+    assert all(a is b for a, b in zip(first.bonds, second.bonds))
+
+
+def test_memos_are_bounded_by_their_module_constants():
+    rng = random.Random(5)
+    for _ in range(200):
+        morgan_fp(parse_smiles(write_smiles(random_molgraph(rng, 1, 40))))
+    for memo, bound in (
+        (mg._bond, mg.BOND_MEMO_SIZE),
+        (mg._implicit_hydrogens, mg.HYDROGEN_MEMO_SIZE),
+        (fingerprint._hash_recurring, fingerprint.INVARIANT_MEMO_SIZE),
+        (fingerprint._hash_environment_recurring, fingerprint.ENVIRONMENT_MEMO_SIZE),
+    ):
+        info = memo.cache_info()
+        assert info.maxsize == bound
+        assert 0 < info.currsize <= bound
