@@ -5,8 +5,9 @@ per-step outcomes), partitioned by property. Retrieval is an exact linear
 scan over the queried partition; ties at equal similarity prefer the larger
 final improvement, then the lexicographically smaller lead. Files are
 line-delimited JSON, written atomically (write-new-then-rename), and read in
-two passes: read_records parses the lines, verify_records checks each stored
-fingerprint against its lead.
+two passes: read_records parses the lines, verify_records checks stored
+fingerprints against their leads, either all of them at load or each one
+the first time top1_similar returns it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class TrajectoryRecord:
 @dataclass
 class TrajectoryBuffer:
     _by_property: dict[str, list[TrajectoryRecord]] = field(default_factory=dict)
+    # Set by load without verify: the file, the line of each record read from
+    # it by id, and the verdict on each record top1_similar has returned.
+    _path: str = field(default="", compare=False, repr=False)
+    _lines: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    _verdicts: dict[int, LineFailure | None] = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return sum(len(records) for records in self._by_property.values())
@@ -84,7 +90,12 @@ class TrajectoryBuffer:
     def top1_similar(
         self, mol: MolGraph, property_id: str
     ) -> tuple[TrajectoryRecord, float] | None:
-        """Most similar record in the property partition, with its similarity."""
+        """Most similar record in the property partition, with its similarity.
+
+        A record that load read without verify is checked (verify_records)
+        the first time it is returned, and the verdict is memoized: a record
+        that fails raises RecordCheckError now and on every later return.
+        """
         records = self._by_property.get(property_id)
         if not records:
             return None
@@ -101,6 +112,12 @@ class TrajectoryBuffer:
                 if better_ri or (same_ri and record.lead < best.lead):
                     best = record
         assert best is not None
+        key = id(best)
+        if key in self._lines:
+            if key not in self._verdicts:
+                self._verdicts[key] = verify_records([(self._lines[key], best)])
+            if self._verdicts[key] is not None:
+                raise RecordCheckError(self._path, self._verdicts[key])
         return best, best_sim
 
     # -- persistence --------------------------------------------------------
@@ -118,21 +135,24 @@ class TrajectoryBuffer:
 
     @classmethod
     def load(cls, path: str, verify: bool = True) -> "TrajectoryBuffer":
-        """Read a buffer file (read_records), then, with verify, check each
-        stored fingerprint against its lead (verify_records).
+        """Read a buffer file (read_records), then check each stored
+        fingerprint against its lead (verify_records): with verify, every
+        one now; without, each one the first time top1_similar returns it.
 
-        Raises SchemaError naming the first failing ``path:line``: a line
-        that fails verification comes before the malformed line that ended
-        reading, since only the lines read are verified.
+        Raises SchemaError naming the first failing ``path:line``: with
+        verify, a line that fails verification comes before the malformed
+        line that ended reading, since only the lines read are verified.
         """
         records, failure = read_records(path)
         if verify:
             failure = verify_records(records) or failure
         if failure is not None:
             raise line_error(path, failure)
-        buffer = cls()
-        for _, record in records:
+        buffer = cls(_path=path)
+        for lineno, record in records:
             buffer.insert(record)
+            if not verify:
+                buffer._lines[id(record)] = lineno
         return buffer
 
 
@@ -143,6 +163,14 @@ LineFailure = tuple[int, str]
 def line_error(path: str, failure: LineFailure) -> SchemaError:
     lineno, message = failure
     return SchemaError(f"{path}:{lineno}: {message}")
+
+
+class RecordCheckError(SchemaError):
+    """A record that top1_similar returned failed verify_records."""
+
+    def __init__(self, path: str, failure: LineFailure):
+        super().__init__(str(line_error(path, failure)))
+        self.failure = failure
 
 
 def read_records(path: str) -> tuple[list[tuple[int, TrajectoryRecord]], LineFailure | None]:
@@ -212,14 +240,15 @@ def read_json_lines(path: str) -> Iterator[tuple[int, object]]:
 
 
 def json_field(container: dict, key: str, *types: type) -> object:
-    """container[key] if it is one of types.
+    """container[key] if its type is exactly one of types, as for a value
+    from json.loads, and, if a number, finite.
 
-    A bool passes only where bool is listed, and a number only if it is finite.
+    So a bool passes only where bool is listed.
     """
     value = container[key]
-    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+    if type(value) in types:
         # NaN, the infinities and ints beyond the float range all fail the bound.
-        if not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max:
+        if type(value) not in (int, float) or abs(value) <= sys.float_info.max:
             return value
     raise SchemaError(f"{key} has the wrong type or value: {value!r:.80}")
 

@@ -1,4 +1,4 @@
-"""Campaign runner CLI: run, build-buffer, report, validate-dataset.
+"""Campaign runner CLI: run, build-buffer, report, validate-dataset, validate-buffer.
 
 Datasets, results, and buffers are all line-delimited UTF-8 JSON. Per-lead
 seeds derive from the master seed and the lead's canonical SMILES, so output
@@ -21,13 +21,13 @@ from . import metrics as mx
 from . import orchestrate as orc
 from . import tools as tl
 from .buffer import (
+    LineFailure,
+    RecordCheckError,
     SchemaError,
     TrajectoryBuffer,
     json_field,
     line_error,
     read_json_lines,
-    read_records,
-    verify_records,
     write_lines_atomic,
 )
 from .endpoint import json_endpoint, reap_all, signals_deferred, text_endpoint
@@ -190,12 +190,6 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
-# Records per verification task of a retrieve run's pool: about 11 ms of
-# parse and fingerprint work, so that a process that runs out of campaigns
-# soon finds a chunk to take, and the chunks' replies cost the parent little.
-VERIFY_CHUNK = 50
-
-
 def _serve(pipe, sigmask: set[signal.Signals], parent_ends: list, serve: Callable) -> None:
     """Pool process loop: send back serve(task) for each task read from
     ``pipe``, until the parent sends None or goes away.
@@ -227,84 +221,52 @@ def _exit_on_signal(signum: int, frame) -> None:
     raise SystemExit(128 + signum)
 
 
-def _run_in_workers(
-    context, workers: int, run_one: Callable, entries: list[DatasetEntry], verify: tuple[str, list] | None
-) -> list:
+def _run_in_workers(context, workers: int, run_one: Callable, entries: list[DatasetEntry]) -> list:
     """run_one over the indices of ``entries``, in order, on ``workers``
     forked processes. Fork hands each process run_one and all it refers
     to, endpoint transports and a loaded buffer included, without pickling.
 
-    Each process has its own pipe and takes one task at a time, so the
+    Each process has its own pipe and takes one campaign at a time, so the
     load balances and no lock is shared: terminating a process at any
     point cannot block the others or the parent. Ctrl-C waits while the
     processes start, so every started one is terminated and reaped on the
     way out. A process that dies fails the run instead of leaving it
     waiting.
-
-    ``verify``, a buffer path and its records, splits the records into
-    chunks of VERIFY_CHUNK, each a task that runs buffer.verify_records on
-    its slice, and starts one more process of the pool, first. That
-    verifier takes only chunks and runs no campaign; each worker takes
-    campaigns while any remain, then chunks. The verdict is the first
-    failing line of the lowest-numbered failing chunk, raised as a
-    SchemaError, as TrajectoryBuffer.load raises it, once every chunk
-    before that one has replied; it terminates the pool. Nothing is
-    returned before every chunk has replied.
     """
     from multiprocessing.connection import wait
 
-    path, records = verify or (None, [])
     outcomes: list = [None] * len(entries)
     campaigns = iter(range(len(entries)))
-    chunks = (slice(start, start + VERIFY_CHUNK) for start in range(0, len(records), VERIFY_CHUNK))
-    verdicts = {}  # first record of each chunk that has replied -> its failure, or None
-    verified = 0  # the records before this one are in chunks that replied None
     processes = {}  # parent end of each pipe -> its process
-    in_flight = {}  # parent end -> the task its process runs: a campaign index or a chunk's slice
-
-    def serve(task):
-        return verify_records(records[task]) if isinstance(task, slice) else run_one(task)
+    in_flight = {}  # parent end -> the index of the campaign its process runs
 
     def feed(pipe) -> None:
-        task = None if pipe is verifier else next(campaigns, None)
-        if task is None:
-            task = next(chunks, None)
-        pipe.send(task)
-        if task is not None:
-            in_flight[pipe] = task
+        index = next(campaigns, None)
+        pipe.send(index)
+        if index is not None:
+            in_flight[pipe] = index
 
     try:
         with signals_deferred() as sigmask:
-            for _ in range(workers + (verify is not None)):
+            for _ in range(workers):
                 pipe, child_end = context.Pipe()
-                process = context.Process(target=_serve, args=(child_end, sigmask, [*processes, pipe], serve))
+                process = context.Process(target=_serve, args=(child_end, sigmask, [*processes, pipe], run_one))
                 process.start()
                 child_end.close()
                 processes[pipe] = process
-        verifier = next(iter(processes)) if verify is not None else None
         for pipe in processes:
             feed(pipe)
         while in_flight:
             for pipe in wait(list(in_flight)):
-                task = in_flight.pop(pipe)
+                index = in_flight.pop(pipe)
                 try:
-                    reply = pipe.recv()
+                    outcomes[index] = pipe.recv()
                 except EOFError:
                     process = processes[pipe]
                     process.join()
-                    running = (
-                        f"the verifier of {path}" if isinstance(task, slice)
-                        else f"the worker running {entries[task].smiles}"
-                    )
-                    raise ChildProcessError(f"{running} exited with code {process.exitcode}") from None
-                if isinstance(task, slice):
-                    verdicts[task.start] = reply
-                    while verified in verdicts:
-                        if verdicts[verified] is not None:
-                            raise line_error(path, verdicts[verified])
-                        verified += VERIFY_CHUNK
-                else:
-                    outcomes[task] = reply
+                    raise ChildProcessError(
+                        f"the worker running {entries[index].smiles} exited with code {process.exitcode}"
+                    ) from None
                 feed(pipe)
         return outcomes
     except BaseException:
@@ -332,14 +294,13 @@ def _run_campaigns(
     post-processes each one in its worker. A lead whose campaign raises
     yields its error message instead, so one lead cannot sink the run.
 
-    In retrieve mode the buffer's records are read here and the campaigns
-    run on their stored fingerprints, while the pool checks every stored
-    lead in chunks: one more process, at any --jobs, takes only chunks,
-    and each worker takes chunks once no campaign is left to start. So at
-    --jobs 1 the campaigns run in one forked worker. No output is written
-    from an unverified buffer, though campaigns may have run by the
-    verdict. A malformed line, or a platform without fork, verifies
-    in-line before any campaign; a buffer with no line needs no verifier.
+    In retrieve mode the buffer's lines are read here, and a malformed one
+    fails the run before any campaign. A stored lead is checked against
+    its fingerprint the first time a campaign's process retrieves it
+    (TrajectoryBuffer.top1_similar). A record that fails the check fails
+    the run once every campaign is done, naming the lowest such line:
+    each campaign's retrievals depend on its lead alone, so the line named
+    does not depend on --jobs or on the order of replies.
 
     Returns the (entry, outcome, error) triples in dataset order and the
     skipped-row count.
@@ -347,31 +308,20 @@ def _run_campaigns(
     if args.jobs < 1:
         raise orc.ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     context = None
-    if args.jobs > 1 or args.mode == orc.RETRIEVE:
+    if args.jobs > 1:
         import multiprocessing
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError as exc:
-            if args.jobs > 1:
-                raise orc.ConfigError(f"--jobs {args.jobs} needs the fork start method ({exc})") from exc
+            raise orc.ConfigError(f"--jobs {args.jobs} needs the fork start method ({exc})") from exc
     tool_set = load_toolset(args.tools_config)
     registry = load_property_registry(args.evaluators_config)
-    buffer = verify = None
+    buffer = None
     if args.mode == orc.RETRIEVE:
         if args.buffer is None:
             raise orc.ConfigError("retrieve mode requires --buffer")
-        records, failure = read_records(args.buffer)
-        if records and failure is None and context is not None:
-            verify = args.buffer, records
-        else:
-            # A line read before the malformed one may fail verification.
-            failure = verify_records(records) or failure
-            if failure is not None:
-                raise line_error(args.buffer, failure)
-        buffer = TrajectoryBuffer()
-        for _, record in records:
-            buffer.insert(record)
+        buffer = TrajectoryBuffer.load(args.buffer, verify=False)
     entries, skipped = ingest(args.dataset, set(registry), args.property_id)
     if not entries:
         raise EmptyDatasetError(f"{args.dataset}: no usable rows ({skipped} skipped)")
@@ -390,9 +340,10 @@ def _run_campaigns(
         for index, entry in enumerate(entries)
     ]
 
-    def run_one(index: int) -> tuple[object, str | None]:
-        """(finish(result), None), or (None, message) when the campaign
-        raises, so that no exception object crosses a process boundary.
+    def run_one(index: int) -> tuple[object, str | LineFailure | None]:
+        """(finish(result), None); (None, message) when the campaign raises,
+        or (None, (line, message)) when a buffer record it retrieved fails
+        its check, so that no exception object crosses a process boundary.
 
         The seed comes from the lead's canonical form, derived here so that
         a slow lead holds only the worker that runs it."""
@@ -401,14 +352,19 @@ def _run_campaigns(
             seed = derive_seed(args.seed, canonical_form(entry.mol))
             config = replace(configs[index], seed=seed)
             return finish(orc.run_campaign(config, entry.mol)), None
+        except RecordCheckError as exc:  # fails the run, below
+            return None, exc.failure
         except Exception as exc:  # per-lead failure must not sink the run
             return None, str(exc)
 
     workers = min(args.jobs, len(entries))
-    if workers > 1 or verify is not None:
-        outcomes = _run_in_workers(context, workers, run_one, entries, verify)
+    if workers > 1:
+        outcomes = _run_in_workers(context, workers, run_one, entries)
     else:
         outcomes = [run_one(index) for index in range(len(entries))]
+    failures = [error for _, error in outcomes if isinstance(error, tuple)]
+    if failures:
+        raise line_error(args.buffer, min(failures))
     for entry, (_, error) in zip(entries, outcomes):
         if error is not None:
             log.error("campaign failed for %s: %s", entry.smiles, error)
@@ -482,6 +438,12 @@ def validate_dataset_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def validate_buffer_command(args: argparse.Namespace) -> int:
+    """Check every line of a buffer file, each stored lead against its fingerprint included."""
+    print(f"records={len(TrajectoryBuffer.load(args.buffer))}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -529,6 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--dataset", required=True)
     val_p.add_argument("--evaluators-config", default=None)
     val_p.set_defaults(handler=validate_dataset_command)
+
+    vbuf_p = sub.add_parser("validate-buffer", help="check every record of a buffer file")
+    vbuf_p.add_argument("--buffer", required=True)
+    vbuf_p.set_defaults(handler=validate_buffer_command)
 
     return parser
 

@@ -1,15 +1,21 @@
 import json
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leadopt import buffer as buffer_module
 from leadopt.buffer import (
+    RecordCheckError,
     SchemaError,
     StepOutcome,
     ToolAction,
     TrajectoryBuffer,
     TrajectoryRecord,
+    json_field,
     record_from_dict,
     record_to_dict,
 )
@@ -379,3 +385,83 @@ def test_load_recomputes_fingerprint_already_computed_in_process(tmp_path):
     assert morgan_fp(parse_smiles(LOOSE_LEAD)) == record.lead_fp
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: stored fingerprint")):
         TrajectoryBuffer.load(str(path))
+
+
+# -- the check of a record top1_similar returns -------------------------------
+
+
+def test_load_without_verify_checks_a_record_the_first_time_top1_similar_returns_it(tmp_path, monkeypatch):
+    checked = []
+    verify = buffer_module.verify_records
+
+    def logged(records):
+        checked.extend(lineno for lineno, _ in records)
+        return verify(records)
+
+    monkeypatch.setattr(buffer_module, "verify_records", logged)
+    path = tmp_path / "buffer.jsonl"
+    bad = dict(record_to_dict(make_record("CCO")), lead=canonical_form(parse_smiles("CCN")))
+    write_buffer_lines(path, [json.dumps(record_to_dict(make_record("c1ccccc1"))), json.dumps(bad)])
+    with pytest.raises(SchemaError) as loaded:
+        TrajectoryBuffer.load(str(path))
+    assert str(loaded.value) == f"{path}:2: stored fingerprint does not match lead"
+    checked.clear()
+    buffer = TrajectoryBuffer.load(str(path), verify=False)
+    assert checked == []
+    for _ in range(3):
+        record, sim = buffer.top1_similar(parse_smiles("c1ccccc1"), "plogp")
+        assert (record.lead, sim) == (canonical_form(parse_smiles("c1ccccc1")), 1.0)
+        with pytest.raises(RecordCheckError) as retrieved:
+            buffer.top1_similar(parse_smiles("CCO"), "plogp")
+        assert (retrieved.value.failure, str(retrieved.value)) == ((2, "stored fingerprint does not match lead"), str(loaded.value))
+    assert checked == [1, 2]  # each record once, the first time it is returned
+
+
+def test_records_loaded_with_verify_or_inserted_are_not_checked_again(tmp_path, monkeypatch):
+    path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(path, [good_line()])
+    buffer = TrajectoryBuffer.load(str(path))
+    inserted = dict(record_to_dict(make_record("CCO")), lead="C1CC")  # the caller's record, taken as given
+    buffer.insert(record_from_dict(inserted))
+    monkeypatch.setattr(buffer_module, "verify_records", None)  # any call fails
+    assert buffer.top1_similar(parse_smiles("CCO"), "plogp")[0].lead == "C1CC"
+    assert len(buffer) == 2
+
+
+# -- json_field against the isinstance rule -----------------------------------
+
+
+def isinstance_json_field(container, key, *types):
+    """json_field's earlier rule, by isinstance: the reference for values from json.loads."""
+    value = container[key]
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        if not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max:
+            return value
+    raise SchemaError(f"{key} has the wrong type or value: {value!r:.80}")
+
+
+# The type lists that json_field's callers pass.
+NONE = type(None)
+FIELD_TYPES = [(str,), (int,), (int, float), (bool,), (list,), (dict,), (str, NONE), (int, float, NONE), (dict, NONE)]
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**1100), 2**1100) | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+# Literals json.dumps does not write: floats that overflow to infinities, and exponents.
+JSON_LITERALS = st.sampled_from(["1e400", "-1e400", "1E2", "-0.0", "0e0", str(10**309), str(-(10**309))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=(JSON_SCALARS | JSON_VALUES).map(json.dumps) | JSON_LITERALS, types=st.sampled_from(FIELD_TYPES))
+def test_json_field_agrees_with_the_isinstance_rule_on_json_values(text, types):
+    container = json.loads(f'{{"key": {text}}}')
+
+    def outcome(rule):
+        try:
+            return "value", id(rule(container, "key", *types))
+        except SchemaError as exc:
+            return "error", str(exc)
+
+    assert outcome(json_field) == outcome(isinstance_json_field)

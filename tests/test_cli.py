@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from leadopt import buffer as buffer_module
 from leadopt import cli
 from leadopt import endpoint as ep
 from leadopt import orchestrate as orc
@@ -20,7 +21,6 @@ from leadopt.buffer import (
     ToolAction,
     TrajectoryBuffer,
     TrajectoryRecord,
-    verify_records,
 )
 from leadopt.fingerprint import morgan_fp
 from leadopt.molgraph import canonical_form, parse_smiles
@@ -569,7 +569,7 @@ def test_failed_lead_crosses_the_jobs_boundary_as_its_message(dataset, tmp_path,
     for jobs in ("1", "2"):
         out = tmp_path / f"results-{jobs}.jsonl"
         buffer = tmp_path / f"buffer-{jobs}.jsonl"
-        retrieved = tmp_path / f"retrieved-{jobs}.jsonl"  # at --jobs 1 too, from a forked worker
+        retrieved = tmp_path / f"retrieved-{jobs}.jsonl"
         common = ["--dataset", dataset, "--seed", "42", "--jobs", jobs]
         assert cli.main(["run", "--mode", "online", *common, "--out", str(out)]) == 0
         assert multiprocessing.active_children() == []
@@ -635,10 +635,9 @@ def test_a_jobs_worker_that_dies_fails_the_run_with_status_2(dataset, tmp_path, 
     buffer_path = tmp_path / "buffer.jsonl"
     write_buffer(buffer_path)
     out = tmp_path / "results.jsonl"
-    # A retrieve run at --jobs 1 runs its campaigns in one forked worker.
-    for mode, jobs in (("online", "2"), ("retrieve", "1")):
+    for mode in ("online", "retrieve"):
         caplog.clear()
-        argv = ["run", "--mode", mode, "--dataset", dataset, "--buffer", str(buffer_path), "--jobs", jobs]
+        argv = ["run", "--mode", mode, "--dataset", dataset, "--buffer", str(buffer_path), "--jobs", "2"]
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert f"the worker running {LEADS[3]} exited with code 3" in caplog.text
         assert not out.exists()
@@ -721,7 +720,8 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads t
 
 
 @needs_proc
-def test_ctrl_c_reaps_the_jobs_workers_and_writes_no_output(tmp_path):
+@pytest.mark.parametrize("mode", ["online", "retrieve"])
+def test_ctrl_c_reaps_the_jobs_workers_and_writes_no_output(tmp_path, mode):
     # Each worker waits on an evaluator endpoint that sleeps for a minute.
     eval_script = tmp_path / "eval.py"
     eval_script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
@@ -732,7 +732,10 @@ def test_ctrl_c_reaps_the_jobs_workers_and_writes_no_output(tmp_path):
     )
     dataset = tmp_path / "data.jsonl"
     write_dataset(dataset, dataset_rows("slow", LEADS[:2]))
-    proc = _start_in_own_group(tmp_path, ["--dataset", str(dataset), "--evaluators-config", str(evaluators_config)])
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path)
+    args = ["--mode", mode, "--dataset", str(dataset), "--buffer", str(buffer_path)]
+    proc = _start_in_own_group(tmp_path, [*args, "--evaluators-config", str(evaluators_config)])
     try:
         _await_group(proc.pid, lambda group: len(group) >= 5, "two workers and two endpoints running")
         os.killpg(proc.pid, signal.SIGINT)
@@ -893,6 +896,7 @@ def test_retrieve_with_bad_buffer_lead_exits_2(dataset, tmp_path, lead, caplog):
     buffer_path = tmp_path / "buffer.jsonl"
     assert cli.main(["build-buffer", "--dataset", dataset, "--seed", "3", "--out", str(buffer_path)]) == 0
     records = [json.loads(line) for line in buffer_path.read_text().splitlines()]
+    # Its fingerprint stays that of a dataset lead, whose campaign retrieves it.
     records[0]["lead"] = lead
     buffer_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     out = tmp_path / "results.jsonl"
@@ -929,7 +933,7 @@ def test_retrieve_with_buffer_line_of_whitespace_json_does_not_allow_exits_2(dat
     assert not out.exists()
 
 
-# -- the retrieve buffer's verifier --------------------------------------------------
+# -- the retrieve buffer's check ---------------------------------------------------
 
 JOBS = pytest.mark.parametrize("jobs", ["1", "2"], ids=lambda jobs: f"jobs{jobs}")
 
@@ -949,10 +953,15 @@ def write_buffer(path, leads=LEADS[:6]):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def with_bad_fingerprint(lines, lineno):
-    """``lines`` with the fingerprint of line ``lineno`` taken from the line after it."""
+def with_bad_fingerprint(lines, lineno, smiles=LEADS[6], lead=None):
+    """``lines`` with line ``lineno`` given the fingerprint of ``smiles``, and
+    ``lead`` as its stored lead if given. A buffer of write_buffer's default
+    leads does not store ``smiles``, so a campaign on that lead retrieves the
+    line at similarity 1, and the line fails its check."""
     records = [json.loads(line) for line in lines]
-    records[lineno - 1]["lead_fp_hex"] = records[lineno % len(records)]["lead_fp_hex"]
+    records[lineno - 1]["lead_fp_hex"] = morgan_fp(parse_smiles(smiles)).to_hex()
+    if lead is not None:
+        records[lineno - 1]["lead"] = lead
     return [json.dumps(record) for record in records]
 
 
@@ -995,93 +1004,98 @@ def campaigns(tmp_path, monkeypatch):
     return path
 
 
-@JOBS
-def test_verified_retrieve_run_forks_one_verifier_and_gives_the_bytes_of_in_line_verification(
-    dataset, tmp_path, monkeypatch, forked, jobs
-):
+@pytest.mark.parametrize("stored", [LEADS[:6], []], ids=["six-records", "empty"])
+def test_a_retrieve_run_forks_only_above_jobs_1_and_gives_the_same_bytes(dataset, tmp_path, forked, stored):
     buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path)
-    out = tmp_path / "results.jsonl"
-    # Python 3.12+ warns when a process with threads forks; a retrieve run
-    # forks at --jobs 1 too. os.fork drops an error filter's error, so record them.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
-    assert [str(warning.message) for warning in caught] == []
-    assert len(forked) == 1 + int(jobs)  # the verifier, then the workers
-    assert _unreaped(forked) == []
-
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    write_buffer(buffer_path, stored)
     in_line = tmp_path / "in-line.jsonl"
     assert cli.main(retrieve_argv(dataset, buffer_path, in_line, "1")) == 0
-    assert len(forked) == 1 + int(jobs)
+    assert forked == []
+    out = tmp_path / "results.jsonl"
+    # Python 3.12+ warns when a process with threads forks. os.fork drops
+    # an error filter's error, so record them.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(retrieve_argv(dataset, buffer_path, out, "2")) == 0
+    assert [str(warning.message) for warning in caught] == []
+    assert len(forked) == 2 and _unreaped(forked) == []
     assert out.read_bytes() == in_line.read_bytes()
 
 
 @JOBS
-def test_at_most_jobs_processes_run_campaigns_and_the_verifier_runs_none(dataset, tmp_path, monkeypatch, jobs):
-    pids = tmp_path / "pids.log"
-    run_campaign = orc.run_campaign
-
-    def logged(kind, call):
-        def logging_call(*args):
-            with open(pids, "a", encoding="ascii") as handle:
-                handle.write(f"{kind} {os.getpid()}\n")
-            return call(*args)
-
-        return logging_call
-
-    monkeypatch.setattr(orc, "run_campaign", logged("campaign", run_campaign))  # forked processes inherit the patches
-    monkeypatch.setattr(cli, "verify_records", logged("verifier", verify_records))
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path)
-    assert cli.main(retrieve_argv(dataset, buffer_path, tmp_path / "results.jsonl", jobs)) == 0
-    logged_pids = [line.split() for line in pids.read_text().splitlines()]
-    campaigns = [int(pid) for kind, pid in logged_pids if kind == "campaign"]
-    (verifier,) = [int(pid) for kind, pid in logged_pids if kind == "verifier"]
-    assert len(campaigns) == len(LEADS)
-    assert 1 <= len(set(campaigns)) <= int(jobs)
-    assert verifier not in campaigns
-    assert os.getpid() not in [verifier, *campaigns]
-
-
-@JOBS
-def test_a_worker_that_outlives_terminate_does_not_hold_the_verdict(
-    dataset, tmp_path, monkeypatch, caplog, forked, jobs
-):
-    # The worker ignores SIGTERM, as a pool process does once the SystemExit
-    # of its handler is lost (say, raised in a finalizer), while the verifier
-    # finds line 1 bad; the run must still exit 2 and reap it, not wait.
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 1))
-    run_campaign = orc.run_campaign
-
-    def deaf_campaign(config, mol):
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        time.sleep(0.2)
-        return run_campaign(config, mol)
-
-    monkeypatch.setattr(orc, "run_campaign", deaf_campaign)
-    out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
-    assert f"{buffer_path}:1: stored fingerprint does not match lead" in caplog.text
-    assert not out.exists()
-    assert forked and _unreaped(forked) == []
-
-
-@JOBS
 @pytest.mark.parametrize("lineno", [1, 4])
-def test_verifier_names_a_bad_fingerprint_line_and_writes_no_output(dataset, tmp_path, caplog, forked, jobs, lineno):
+def test_a_retrieved_record_with_a_bad_fingerprint_fails_the_run_naming_its_line(
+    dataset, tmp_path, caplog, forked, campaigns, jobs, lineno
+):
     buffer_path = tmp_path / "buffer.jsonl"
     write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), lineno))
     out = tmp_path / "results.jsonl"
     assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
     assert f"{buffer_path}:{lineno}: stored fingerprint does not match lead" in caplog.text
+    assert "campaign failed" not in caplog.text  # a failed run, not a failed lead
     assert not out.exists()
-    assert forked and _unreaped(forked) == []
+    assert len(campaigns.read_text().splitlines()) == len(LEADS)  # the verdict waits for every campaign
+    assert len(forked) == (0 if jobs == "1" else 2) and _unreaped(forked) == []
+
+
+@JOBS
+def test_the_lowest_failing_line_is_named_whichever_campaign_finds_its_failure_first(
+    tmp_path, monkeypatch, caplog, forked, jobs
+):
+    # The first lead retrieves line 5, whose fingerprint is wrong, and is
+    # fast; the second retrieves line 2, whose lead does not parse, and is slow.
+    buffer_path = tmp_path / "buffer.jsonl"
+    lines = with_bad_fingerprint(write_buffer(buffer_path), 5, LEADS[6])
+    write_buffer_lines(buffer_path, with_bad_fingerprint(lines, 2, LEADS[7], lead="C1CC"))
+    with pytest.raises(SchemaError) as loaded:
+        TrajectoryBuffer.load(str(buffer_path))
+    assert str(loaded.value) == f"{buffer_path}:2: unmatched ring digit 1"
+    run_campaign = orc.run_campaign
+
+    def slow_second(config, lead):
+        if canonical_form(lead) == LEADS[7]:
+            time.sleep(0.3)
+        return run_campaign(config, lead)
+
+    monkeypatch.setattr(orc, "run_campaign", slow_second)  # forked workers inherit the patch
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, dataset_rows(leads=LEADS[6:8]))
+    out = tmp_path / "results.jsonl"
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
+    assert str(loaded.value) in caplog.text
+    assert f"{buffer_path}:5:" not in caplog.text
+    assert not out.exists()
+    assert len(forked) == (0 if jobs == "1" else 2) and _unreaped(forked) == []
+
+
+@JOBS
+def test_a_record_is_checked_once_per_process_however_often_it_is_retrieved(
+    dataset, tmp_path, monkeypatch, forked, jobs
+):
+    log = tmp_path / "calls.log"
+    log.write_text("")
+
+    def logged(kind, call):
+        def logging_call(*args):
+            with open(log, "a", encoding="ascii") as handle:
+                handle.write(f"{kind} {os.getpid()}\n")
+            return call(*args)
+
+        return logging_call
+
+    # Forked workers inherit the patches.
+    monkeypatch.setattr(buffer_module, "verify_records", logged("check", buffer_module.verify_records))
+    monkeypatch.setattr(TrajectoryBuffer, "top1_similar", logged("retrieval", TrajectoryBuffer.top1_similar))
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer(buffer_path, LEADS[:1])  # every retrieval returns line 1
+    out = tmp_path / "results.jsonl"
+    assert cli.main([*retrieve_argv(dataset, buffer_path, out, jobs), "--steps", "3"]) == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
+    retrievals = [int(pid) for kind, pid in calls if kind == "retrieval"]
+    checks = [int(pid) for kind, pid in calls if kind == "check"]
+    assert len(retrievals) >= 3 * len(LEADS)
+    assert sorted(checks) == sorted(set(retrievals))  # once in each process that retrieves
+    assert set(checks) == ({os.getpid()} if jobs == "1" else set(forked))
 
 
 @JOBS
@@ -1090,7 +1104,7 @@ def test_verifier_names_a_bad_fingerprint_line_and_writes_no_output(dataset, tmp
     [(3, 5, 3), (5, 2, 2)],
     ids=["mismatch3-json5", "json2-mismatch5"],
 )
-def test_verification_before_a_malformed_line_is_in_line(
+def test_a_malformed_line_fails_a_run_before_any_campaign_or_fork(
     dataset, tmp_path, caplog, forked, campaigns, jobs, mismatch, malformed, named
 ):
     buffer_path = tmp_path / "buffer.jsonl"
@@ -1099,86 +1113,70 @@ def test_verification_before_a_malformed_line_is_in_line(
     write_buffer_lines(buffer_path, lines)
     out = tmp_path / "results.jsonl"
     assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
-    (unnamed,) = {mismatch, malformed} - {named}
-    assert f"{buffer_path}:{named}: " in caplog.text
-    assert f"{buffer_path}:{unnamed}:" not in caplog.text
+    assert f"{buffer_path}:{malformed}: " in caplog.text
+    assert f"{buffer_path}:{mismatch}:" not in caplog.text
     assert not out.exists()
     assert forked == []
     assert campaigns.read_text() == ""
+    # validate-buffer names the first failing line, as load does.
+    caplog.clear()
+    assert cli.main(["validate-buffer", "--buffer", str(buffer_path)]) == 2
+    (unnamed,) = {mismatch, malformed} - {named}
+    assert f"{buffer_path}:{named}: " in caplog.text
+    assert f"{buffer_path}:{unnamed}:" not in caplog.text
 
 
-@JOBS
-def test_verifier_stops_a_many_lead_run_before_its_last_campaign(
-    tmp_path, monkeypatch, caplog, forked, campaigns, jobs
-):
-    logged = orc.run_campaign
-
-    def slow(config, lead):  # a whole run takes seconds; the verdict, milliseconds
-        time.sleep(0.05)
-        return logged(config, lead)
-
-    monkeypatch.setattr(orc, "run_campaign", slow)
+def test_a_bad_fingerprint_no_campaign_retrieves_fails_only_validate_buffer(tmp_path, caplog, capsys):
     buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 1))
+    lines = write_buffer(buffer_path)
+    assert cli.main(["validate-buffer", "--buffer", str(buffer_path)]) == 0
+    assert capsys.readouterr().out == "records=6\n"
+    write_buffer_lines(buffer_path, with_bad_fingerprint(lines, 3, "CC"))
+    # One step from the first stored lead retrieves its own line, line 1.
     dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, dataset_rows(leads=LEADS * 4))
+    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
     out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
-    assert f"{buffer_path}:1: stored fingerprint does not match lead" in caplog.text
-    assert len(campaigns.read_text().splitlines()) < len(LEADS) * 4
-    assert not out.exists()
-    assert _unreaped(forked) == []
+    assert cli.main(retrieve_argv(dataset, buffer_path, out, "1")) == 0
+    assert len(out.read_text().splitlines()) == 1
+    assert cli.main(["validate-buffer", "--buffer", str(buffer_path)]) == 2
+    assert f"{buffer_path}:3: stored fingerprint does not match lead" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
-@JOBS
-def test_a_killed_verifier_fails_the_run_with_status_2(dataset, tmp_path, monkeypatch, caplog, forked, jobs):
+@pytest.mark.parametrize("lines, case", MALFORMED_BUFFERS)
+def test_validate_buffer_and_load_name_the_same_line_and_error_class(tmp_path, capsys, lines, case):
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, lines(*case))
+    with pytest.raises(SchemaError) as loaded:
+        TrajectoryBuffer.load(str(buffer_path))
+    args = cli.build_parser().parse_args(["validate-buffer", "--buffer", str(buffer_path)])
+    with pytest.raises(SchemaError) as validated:
+        args.handler(args)
+    assert (type(validated.value), str(validated.value)) == (type(loaded.value), str(loaded.value))
+    assert capsys.readouterr().out == ""
+
+
+def test_a_jobs_worker_that_outlives_terminate_does_not_hold_the_run(dataset, tmp_path, monkeypatch, caplog, forked):
+    # One worker ignores SIGTERM, as a pool process does once the SystemExit
+    # of its handler is lost (say, raised in a finalizer), while the other
+    # dies; the run must still exit 2 and reap it, not wait.
     parent = os.getpid()
+    run_campaign = orc.run_campaign
 
-    def killed(records):
+    def deaf_or_dying_campaign(config, mol):
         if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return verify_records(records)
+            if canonical_form(mol) == LEADS[1]:
+                os._exit(3)
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            time.sleep(0.2)
+        return run_campaign(config, mol)
 
-    monkeypatch.setattr(cli, "verify_records", killed)
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path)
+    monkeypatch.setattr(orc, "run_campaign", deaf_or_dying_campaign)
     out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
-    assert f"the verifier of {buffer_path} exited with code -9" in caplog.text
+    assert cli.main(["run", "--dataset", dataset, "--steps", "1", "--jobs", "2", "--out", str(out)]) == 2
+    assert f"the worker running {LEADS[1]} exited with code 3" in caplog.text
     assert not out.exists()
-    assert _unreaped(forked) == []
-
-
-@needs_proc
-@JOBS
-def test_ctrl_c_reaps_the_verifier_and_writes_no_output(tmp_path, jobs):
-    # Each campaign waits on an evaluator endpoint that sleeps for a minute.
-    eval_script = tmp_path / "eval.py"
-    eval_script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
-    evaluators_config = tmp_path / "evaluators.json"
-    evaluators_config.write_text(
-        json.dumps({"evaluators": {"slow": {"endpoint": [sys.executable, str(eval_script)]}}}),
-        encoding="utf-8",
-    )
-    dataset = tmp_path / "data.jsonl"
-    write_dataset(dataset, dataset_rows("slow", LEADS[:2]))
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path)
-    args = ["--mode", "retrieve", "--dataset", str(dataset), "--buffer", str(buffer_path),
-            "--evaluators-config", str(evaluators_config)]
-    proc = _start_in_own_group(tmp_path, args, jobs)
-    # The run, its verifier, and a worker with its endpoint per job (at
-    # --jobs 1 the run is the worker).
-    running = 2 + (1 if jobs == "1" else 4)
-    try:
-        _await_group(proc.pid, lambda group: len(group) >= running, "the verifier and the endpoints running")
-        os.killpg(proc.pid, signal.SIGINT)
-        proc.wait(timeout=30)
-        _await_group(proc.pid, lambda group: not group, "every process gone")
-    finally:
-        _kill_group(proc)
-    assert proc.returncode != 0
-    assert not (tmp_path / "results.jsonl").exists()
+    assert len(forked) == 2 and _unreaped(forked) == []
 
 
 def test_main_restores_the_callers_sigterm_handler(dataset, tmp_path):
@@ -1231,223 +1229,6 @@ def test_sigterm_ends_a_run_with_status_143_and_leaves_nothing_running(tmp_path,
     # No waiting endpoint process read end of file as a request.
     sizes = [int(size) for size in requests.read_text().splitlines()]
     assert len(sizes) == int(jobs) and 0 not in sizes
-
-
-@JOBS
-@pytest.mark.parametrize("lines, case", MALFORMED_BUFFERS)
-def test_verifier_and_load_name_the_same_line_and_error_class(tmp_path, jobs, lines, case):
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer_lines(buffer_path, lines(*case))
-    with pytest.raises(SchemaError) as loaded:
-        TrajectoryBuffer.load(str(buffer_path))
-    dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, [{"smiles": "CCO", "property": "plogp"}])
-    out = tmp_path / "results.jsonl"
-    args = cli.build_parser().parse_args(retrieve_argv(dataset, buffer_path, out, jobs))
-    with pytest.raises(SchemaError) as ran:
-        cli.run_command(args)
-    assert (type(ran.value), str(ran.value)) == (type(loaded.value), str(loaded.value))
-    assert not out.exists()
-
-
-# -- the verifier's chunks ------------------------------------------------------------
-
-
-@pytest.fixture()
-def chunks(tmp_path, monkeypatch):
-    """Two buffer records per chunk, and a file that gets "pid line..." for
-    each chunk verified, in any process."""
-    monkeypatch.setattr(cli, "VERIFY_CHUNK", 2)
-    path = tmp_path / "chunks.log"
-    path.write_text("")
-
-    def logged(records):
-        with open(path, "a", encoding="ascii") as handle:
-            handle.write(" ".join(str(n) for n in [os.getpid(), *(lineno for lineno, _ in records)]) + "\n")
-        return verify_records(records)
-
-    monkeypatch.setattr(cli, "verify_records", logged)  # forked processes inherit the patches
-    return path
-
-
-def verified_chunks(path):
-    """(pid, line numbers) of each chunk verified, in the order the calls began."""
-    logged = [line.split() for line in path.read_text().splitlines()]
-    return [(int(pid), [int(lineno) for lineno in lines]) for pid, *lines in logged]
-
-
-def slow_chunks(monkeypatch, seconds, first_lines=None):
-    """Verifying a chunk takes ``seconds`` more, or only a chunk that starts at one of ``first_lines``."""
-    verify = cli.verify_records
-
-    def slow(records):
-        if first_lines is None or records[0][0] in first_lines:
-            time.sleep(seconds)
-        return verify(records)
-
-    monkeypatch.setattr(cli, "verify_records", slow)
-
-
-@pytest.fixture()
-def campaign_pids(tmp_path, monkeypatch):
-    """A file that gets the pid of each process, once per campaign it starts."""
-    path = tmp_path / "campaign_pids.log"
-    path.write_text("")
-    run_campaign = orc.run_campaign
-
-    def logged(config, lead):
-        with open(path, "a", encoding="ascii") as handle:
-            handle.write(f"{os.getpid()}\n")
-        return run_campaign(config, lead)
-
-    monkeypatch.setattr(orc, "run_campaign", logged)
-    return path
-
-
-@JOBS
-@pytest.mark.parametrize(
-    "bad_lines",
-    [(1,), (4,), (6,), (2, 5), (4, 6)],
-    ids=["first", "middle", "last", "first-and-last", "middle-and-last"],
-)
-def test_chunk_verdict_of_the_verifier_names_the_line_and_error_class_of_load(
-    tmp_path, monkeypatch, forked, chunks, jobs, bad_lines
-):
-    buffer_path = tmp_path / "buffer.jsonl"
-    lines = write_buffer(buffer_path)
-    for lineno in bad_lines:
-        lines = with_bad_fingerprint(lines, lineno)
-    write_buffer_lines(buffer_path, lines)
-    with pytest.raises(SchemaError) as loaded:
-        TrajectoryBuffer.load(str(buffer_path))
-    # The first chunk replies last, so that a later chunk's failure, if
-    # any, comes first; the workers take chunks once their lead is done.
-    slow_chunks(monkeypatch, 0.2, first_lines={1})
-    dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, dataset_rows(leads=LEADS[:2]))
-    out = tmp_path / "results.jsonl"
-    args = cli.build_parser().parse_args(retrieve_argv(dataset, buffer_path, out, jobs))
-    with pytest.raises(SchemaError) as ran:
-        cli.run_command(args)
-    assert (type(ran.value), str(ran.value)) == (type(loaded.value), str(loaded.value))
-    assert f"{buffer_path}:{bad_lines[0]}: stored fingerprint does not match lead" == str(ran.value)
-    assert not out.exists()
-    assert len(forked) == 1 + int(jobs)
-    assert _unreaped(forked) == []
-
-
-@JOBS
-def test_the_pool_verifies_every_record_exactly_once(dataset, tmp_path, monkeypatch, forked, chunks, jobs):
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path, LEADS)
-    slow_chunks(monkeypatch, 0.05)
-    assert cli.main(retrieve_argv(dataset, buffer_path, tmp_path / "results.jsonl", jobs)) == 0
-    verified = verified_chunks(chunks)
-    assert sorted(lineno for _, lines in verified for lineno in lines) == list(range(1, len(LEADS) + 1))
-    assert sorted(lines[0] for _, lines in verified) == list(range(1, len(LEADS) + 1, 2))
-    assert {pid for pid, _ in verified} <= set(forked)
-
-
-@JOBS
-def test_with_chunks_the_verifier_runs_no_campaign_and_at_most_jobs_processes_run_campaigns(
-    tmp_path, monkeypatch, forked, chunks, campaign_pids, jobs
-):
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path, LEADS)
-    slow_chunks(monkeypatch, 0.05)
-    dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, dataset_rows(leads=LEADS[:4]))
-    assert cli.main(retrieve_argv(dataset, buffer_path, tmp_path / "results.jsonl", jobs)) == 0
-    verifier, *workers = forked  # the verifier starts first
-    running = [int(pid) for pid in campaign_pids.read_text().split()]
-    assert len(running) == 4
-    assert verifier not in running
-    assert set(running) <= set(workers) and len(workers) == int(jobs)
-    assert verifier in {pid for pid, _ in verified_chunks(chunks)}
-
-
-@JOBS
-def test_a_worker_out_of_campaigns_verifies_chunks(tmp_path, monkeypatch, forked, chunks, campaign_pids, jobs):
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path, LEADS)
-    slow_chunks(monkeypatch, 0.2)  # five chunks: a second in the verifier alone
-    dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
-    out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
-    (worker,) = {int(pid) for pid in campaign_pids.read_text().split()}
-    assert worker in {pid for pid, _ in verified_chunks(chunks)}
-    assert len(forked) == 2  # one lead: the verifier and one worker, at any --jobs
-    assert len(out.read_text().splitlines()) == 1
-
-
-@JOBS
-def test_a_run_waits_for_the_verdict_on_its_last_chunk_after_its_campaigns(
-    tmp_path, monkeypatch, caplog, forked, chunks, jobs
-):
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 6))
-    slow_chunks(monkeypatch, 0.3)  # the campaigns are done long before the last chunk
-    dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
-    out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
-    assert f"{buffer_path}:6: stored fingerprint does not match lead" in caplog.text
-    assert not out.exists()
-    assert _unreaped(forked) == []
-
-
-@JOBS
-def test_a_worker_killed_while_it_verifies_a_chunk_fails_the_run_as_a_dead_verifier(
-    tmp_path, monkeypatch, caplog, forked, chunks, jobs
-):
-    ran = []  # a process's own copy once forked
-    run_campaign = orc.run_campaign
-
-    def noted(config, lead):
-        ran.append(lead)
-        return run_campaign(config, lead)
-
-    verify = cli.verify_records
-
-    def killed_after_a_campaign(records):
-        time.sleep(0.2)  # the verifier alone would take a second
-        if ran:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return verify(records)
-
-    monkeypatch.setattr(orc, "run_campaign", noted)
-    monkeypatch.setattr(cli, "verify_records", killed_after_a_campaign)
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer(buffer_path, LEADS)
-    dataset = tmp_path / "leads.jsonl"
-    write_dataset(dataset, dataset_rows(leads=LEADS[:1]))
-    out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 2
-    assert f"the verifier of {buffer_path} exited with code -9" in caplog.text
-    assert not out.exists()
-    assert ran == []  # the run's own process ran no campaign
-    assert len(forked) == 2 and _unreaped(forked) == []
-
-
-@JOBS
-def test_an_empty_buffer_needs_no_verifier_and_gives_the_bytes_of_in_line_verification(
-    dataset, tmp_path, monkeypatch, forked, jobs
-):
-    buffer_path = tmp_path / "buffer.jsonl"
-    buffer_path.write_text("")
-    out = tmp_path / "results.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, out, jobs)) == 0
-    assert len(forked) == (0 if jobs == "1" else int(jobs))  # the workers alone
-    assert _unreaped(forked) == []
-
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    in_line = tmp_path / "in-line.jsonl"
-    assert cli.main(retrieve_argv(dataset, buffer_path, in_line, "1")) == 0
-    assert out.read_bytes() == in_line.read_bytes()
 
 
 def test_endpoint_failure_names_whole_argv(tmp_path):
@@ -1657,26 +1438,28 @@ def test_a_failed_endpoint_names_the_tail_of_its_stderr(tmp_path):
     ep.reap_all()
 
 
-@JOBS
-def test_terminated_jobs_workers_kill_their_endpoint_processes(tmp_path, monkeypatch, forked, spawned, jobs):
+def test_terminated_jobs_workers_kill_their_endpoint_processes(tmp_path, monkeypatch, forked, spawned):
     parent = os.getpid()
+    run_campaign = orc.run_campaign
 
-    def after_the_endpoints_start(records):
-        """The verdict, once each process running campaigns has an endpoint process waiting."""
-        deadline = time.monotonic() + 30
-        while os.getpid() != parent and len(spawned()) < 2 * int(jobs) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return verify_records(records)
+    def exits_once_every_worker_has_endpoints(config, lead):
+        """Exit from the worker of the second lead once each worker has an
+        endpoint process waiting; the run then terminates the other."""
+        result = run_campaign(config, lead)
+        if os.getpid() != parent and canonical_form(lead) == LEADS[1]:
+            deadline = time.monotonic() + 30
+            while len(spawned()) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise SystemExit(3)
+        return result
 
-    monkeypatch.setattr(cli, "verify_records", after_the_endpoints_start)
-    buffer_path = tmp_path / "buffer.jsonl"
-    write_buffer_lines(buffer_path, with_bad_fingerprint(write_buffer(buffer_path), 1))
+    monkeypatch.setattr(orc, "run_campaign", exits_once_every_worker_has_endpoints)
     dataset = tmp_path / "leads.jsonl"
     write_dataset(dataset, dataset_rows(leads=LEADS * 2))
     out = tmp_path / "results.jsonl"
-    argv = retrieve_argv(dataset, buffer_path, out, jobs) + external_args(tmp_path, logging_endpoint(tmp_path, "tool"))
-    assert cli.main(argv) == 2
-    assert len(spawned()) >= 2 * int(jobs)
+    argv = ["run", "--dataset", str(dataset), "--jobs", "2", "--out", str(out)]
+    assert cli.main(argv + external_args(tmp_path, logging_endpoint(tmp_path, "tool"))) == 2
+    assert len(spawned()) >= 4
     assert len(logged_requests(tmp_path)) < len(LEADS) * 2
     assert not out.exists()
     assert _existing(pid for pid, _ in spawned()) == []
