@@ -1156,6 +1156,28 @@ def test_validate_buffer_and_load_name_the_same_line_and_error_class(tmp_path, c
     assert capsys.readouterr().out == ""
 
 
+@JOBS
+@pytest.mark.parametrize("lines, case", MALFORMED_BUFFERS)
+def test_a_run_that_retrieves_the_bad_record_names_the_line_and_error_class_of_load(
+    tmp_path, forked, jobs, lines, case
+):
+    # A campaign on CCO retrieves the bad record: either it stores CCO's
+    # fingerprint and wins the tie on its lead, or its partition holds it alone.
+    buffer_path = tmp_path / "buffer.jsonl"
+    write_buffer_lines(buffer_path, lines(*case))
+    with pytest.raises(SchemaError) as loaded:
+        TrajectoryBuffer.load(str(buffer_path))
+    dataset = tmp_path / "leads.jsonl"
+    write_dataset(dataset, [{"smiles": "CCO", "property": "plogp"}, {"smiles": "CCN", "property": "plogp"}])
+    out = tmp_path / "results.jsonl"
+    args = cli.build_parser().parse_args(retrieve_argv(dataset, buffer_path, out, jobs))
+    with pytest.raises(SchemaError) as ran:
+        cli.run_command(args)
+    assert (type(ran.value), str(ran.value)) == (type(loaded.value), str(loaded.value))
+    assert not out.exists()
+    assert _unreaped(forked) == []
+
+
 def test_a_jobs_worker_that_outlives_terminate_does_not_hold_the_run(dataset, tmp_path, monkeypatch, caplog, forked):
     # One worker ignores SIGTERM, as a pool process does once the SystemExit
     # of its handler is lost (say, raised in a finalizer), while the other
